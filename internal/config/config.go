@@ -282,13 +282,30 @@ func WithL1Type(t int) []Config {
 // Sample draws k distinct configurations uniformly at random from the space
 // with the given L1 type fixed, the "random sampling" step of the paper's
 // best-configuration search (Section 4.1, step 1).
+//
+// L1Type is the most significant digit of Index, so the configurations of
+// one L1 type are one contiguous index range; Sample shuffles offsets into
+// that range and decodes only the k it returns. rand.Shuffle's draws depend
+// only on the length, so this picks exactly what shuffling the whole
+// WithL1Type slice would.
 func Sample(rng *rand.Rand, k, l1Type int) []Config {
-	space := WithL1Type(l1Type)
-	if k >= len(space) {
-		return space
+	if l1Type < 0 || l1Type >= cardinality[L1Type] {
+		return nil
 	}
-	rng.Shuffle(len(space), func(i, j int) { space[i], space[j] = space[j], space[i] })
-	return space[:k]
+	per := SpaceSize() / cardinality[L1Type]
+	if k >= per {
+		return WithL1Type(l1Type)
+	}
+	idx := make([]int32, per)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	rng.Shuffle(per, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	out := make([]Config, k)
+	for i := range out {
+		out[i] = FromIndex(l1Type*per + int(idx[i]))
+	}
+	return out
 }
 
 // Neighbors returns the configurations adjacent to c: each runtime

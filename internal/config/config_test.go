@@ -111,6 +111,41 @@ func TestSampleDistinct(t *testing.T) {
 	}
 }
 
+// sampleReference is Sample as first written: shuffle the whole L1-type
+// slice of the space and keep its first k configurations.
+func sampleReference(rng *rand.Rand, k, l1Type int) []Config {
+	space := WithL1Type(l1Type)
+	if k >= len(space) {
+		return space
+	}
+	rng.Shuffle(len(space), func(i, j int) { space[i], space[j] = space[j], space[i] })
+	return space[:k]
+}
+
+// TestSampleMatchesReference: Sample returns exactly the reference's
+// configurations, in order, and leaves the generator in the same state.
+func TestSampleMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, l1 := range []int{CacheMode, SPMMode, 2} {
+			for _, k := range []int{0, 1, 7, 256, 32399, 32400, 100000} {
+				got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				g, w := Sample(got, k, l1), sampleReference(want, k, l1)
+				if len(g) != len(w) {
+					t.Fatalf("seed %d l1 %d k %d: %d configs, reference %d", seed, l1, k, len(g), len(w))
+				}
+				for i := range g {
+					if g[i] != w[i] {
+						t.Fatalf("seed %d l1 %d k %d: config %d is %v, reference %v", seed, l1, k, i, g[i], w[i])
+					}
+				}
+				if got.Int63() != want.Int63() {
+					t.Fatalf("seed %d l1 %d k %d: generator state differs from the reference's", seed, l1, k)
+				}
+			}
+		}
+	}
+}
+
 func TestNeighborsAdjacency(t *testing.T) {
 	c := Baseline
 	for _, n := range Neighbors(c) {

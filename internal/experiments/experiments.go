@@ -183,11 +183,15 @@ func IDs() []string {
 
 // --- Shared model cache -------------------------------------------------
 
+// modelKey holds every input that shapes trainModel's result (sc.Eng only
+// changes how fast it runs), so a cached model never depends on which
+// models the process trained first.
 type modelKey struct {
 	kernel string
 	l1Type int
 	mode   power.Mode
 	scale  float64
+	seed   int64
 	tiles  int
 	gpes   int
 	hist   int
@@ -210,12 +214,24 @@ func HistoryModel(sc Scale, kernel string, l1Type int, mode power.Mode, h int) (
 	if h < 1 {
 		h = 1
 	}
-	key := modelKey{kernel, l1Type, mode, sc.Train, sc.Chip.Tiles, sc.Chip.GPEsPerTile, h}
+	key := modelKey{kernel, l1Type, mode, sc.Train, sc.Seed, sc.Chip.Tiles, sc.Chip.GPEsPerTile, h}
+	// The lock is held across training, so concurrent callers wanting the
+	// same model wait for one training run instead of duplicating it.
 	modelMu.Lock()
 	defer modelMu.Unlock()
 	if m, ok := modelCache[key]; ok {
 		return m, nil
 	}
+	ens, err := trainModel(sc, kernel, l1Type, mode, h)
+	if err != nil {
+		return nil, err
+	}
+	modelCache[key] = ens
+	return ens, nil
+}
+
+// trainModel trains HistoryModel's ensemble without consulting the cache.
+func trainModel(sc Scale, kernel string, l1Type int, mode power.Mode, h int) (*core.Ensemble, error) {
 	sw := trainer.DefaultSweep(kernel, l1Type, sc.Train)
 	sw.Chip = sc.Chip
 	sw.Seed = sc.Seed
@@ -226,12 +242,7 @@ func HistoryModel(sc Scale, kernel string, l1Type int, mode power.Mode, h int) (
 	if err != nil {
 		return nil, err
 	}
-	ens, err := trainer.Train(ds, ml.DefaultTreeParams())
-	if err != nil {
-		return nil, err
-	}
-	modelCache[key] = ens
-	return ens, nil
+	return trainer.Train(ds, ml.DefaultTreeParams())
 }
 
 // --- Shared workload builders --------------------------------------------

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"sparseadapt/internal/config"
+	"sparseadapt/internal/core"
 	"sparseadapt/internal/power"
 )
 
@@ -57,6 +59,42 @@ func TestModelCache(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("model not cached")
+	}
+}
+
+// TestModelHistoryIndependent: a cached model does not depend on what the
+// process trained before it. A seed-B model obtained after a seed-A model
+// equals one trained directly for seed B.
+func TestModelHistoryIndependent(t *testing.T) {
+	a := TestScale()
+	a.Train = 0.05
+	b := a
+	a.Seed, b.Seed = 1000, 1502
+	encode := func(e *core.Ensemble) string {
+		t.Helper()
+		j, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(j)
+	}
+	modelA, err := Model(a, "spmspv", config.CacheMode, power.EnergyEfficient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := Model(b, "spmspv", config.CacheMode, power.EnergyEfficient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := trainModel(b, "spmspv", config.CacheMode, power.EnergyEfficient, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if encode(modelA) == encode(direct) {
+		t.Fatal("seeds 1000 and 1502 train identical models; the check below cannot tell them apart")
+	}
+	if encode(after) != encode(direct) {
+		t.Fatal("the seed-1502 model depends on the seed-1000 model trained before it")
 	}
 }
 

@@ -89,15 +89,7 @@ func RecordEngineMemo(ctx context.Context, eng *engine.Engine, memo *sim.RunMemo
 			Int(chip.Tiles, chip.GPEsPerTile).F64(bw).
 			Int(cfg.Index()).Sum()
 		tasks[s] = engine.Task[[]EpochRecord]{Key: key, Compute: func(ctx context.Context) ([]EpochRecord, error) {
-			rs, err := sim.RunEpochs(ctx, memo, chip, bw, cfg, w.Trace, rec.Epochs)
-			if err != nil {
-				return nil, err
-			}
-			row := make([]EpochRecord, len(rs))
-			for e, r := range rs {
-				row[e] = EpochRecord{Metrics: r.Metrics, DirtyL1: r.DirtyL1, DirtyL2: r.DirtyL2}
-			}
-			return row, nil
+			return replayRow(ctx, memo, chip, bw, cfg, w.Trace, rec.Epochs)
 		}}
 	}
 	grid, err := engine.Map(ctx, eng, tasks)
@@ -106,6 +98,19 @@ func RecordEngineMemo(ctx context.Context, eng *engine.Engine, memo *sim.RunMemo
 	}
 	rec.Grid = grid
 	return rec, nil
+}
+
+// replayRow replays eps of tr under cfg and keeps what stitching needs.
+func replayRow(ctx context.Context, memo *sim.RunMemo, chip power.Chip, bw float64, cfg config.Config, tr *sim.Trace, eps []sim.EpochRange) ([]EpochRecord, error) {
+	rs, err := sim.RunEpochs(ctx, memo, chip, bw, cfg, tr, eps)
+	if err != nil {
+		return nil, err
+	}
+	row := make([]EpochRecord, len(rs))
+	for e, r := range rs {
+		row[e] = EpochRecord{Metrics: r.Metrics, DirtyL1: r.DirtyL1, DirtyL2: r.DirtyL2}
+	}
+	return row, nil
 }
 
 // RecordSource builds the recording over the widened action space: each
@@ -136,9 +141,10 @@ func RecordSourceEngine(ctx context.Context, eng *engine.Engine, memo *sim.RunMe
 		return nil, fmt.Errorf("oracle: source %s has no epochs", src.Name())
 	}
 	rec := &Recording{Chip: chip, BW: bw, Configs: cfgs, Epochs: nat.Trace.EpochsN(nEpochs), NNZ: nat.Trace.NNZ}
-	// Resolve every variant up front (cached in the Source) so tasks only
+	// Resolve every variant and its epoch grid up front (the Source caches
+	// variants, the trace caches its grid and fingerprint) so tasks only
 	// replay, and so a build error surfaces before any simulation runs.
-	variants := make([]kernels.Workload, len(cfgs))
+	tasks := make([]engine.Task[[]EpochRecord], len(cfgs))
 	for s, cfg := range cfgs {
 		w, err := src.Variant(cfg)
 		if err != nil {
@@ -148,25 +154,12 @@ func RecordSourceEngine(ctx context.Context, eng *engine.Engine, memo *sim.RunMe
 		if len(eps) != nEpochs {
 			return nil, fmt.Errorf("oracle: variant %s splits into %d epochs, grid has %d", w.Name, len(eps), nEpochs)
 		}
-		variants[s] = w
-	}
-	tasks := make([]engine.Task[[]EpochRecord], len(cfgs))
-	for s, cfg := range cfgs {
-		cfg, w := cfg, variants[s]
 		key := engine.NewHasher("sparseadapt/oracle-srcrow/v1").
 			U64(w.Trace.Fingerprint()).Int(nEpochs).F64(epochScale).
 			Int(chip.Tiles, chip.GPEsPerTile).F64(bw).
 			Int(cfg.Index()).Sum()
 		tasks[s] = engine.Task[[]EpochRecord]{Key: key, Compute: func(ctx context.Context) ([]EpochRecord, error) {
-			rs, err := sim.RunEpochs(ctx, memo, chip, bw, cfg, w.Trace, w.Trace.EpochsN(nEpochs))
-			if err != nil {
-				return nil, err
-			}
-			row := make([]EpochRecord, len(rs))
-			for e, r := range rs {
-				row[e] = EpochRecord{Metrics: r.Metrics, DirtyL1: r.DirtyL1, DirtyL2: r.DirtyL2}
-			}
-			return row, nil
+			return replayRow(ctx, memo, chip, bw, cfg, w.Trace, eps)
 		}}
 	}
 	grid, err := engine.Map(ctx, eng, tasks)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"sparseadapt/internal/config"
 	"sparseadapt/internal/core"
@@ -196,7 +195,7 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResu
 	if err != nil {
 		return JobResult{}, err
 	}
-	model, err := s.models.get(sc, req.Scale, modelKernel, mode)
+	model, err := experiments.Model(sc, modelKernel, config.CacheMode, mode)
 	if err != nil {
 		return JobResult{}, fmt.Errorf("training model: %w", err)
 	}
@@ -395,38 +394,4 @@ func epochRecords(run core.RunResult, counters bool) []obs.EpochRecord {
 		recs = append(recs, rec)
 	}
 	return recs
-}
-
-// modelCache memoizes trained ensembles by (scale, seed, kernel, mode).
-// Training is expensive (a full oracle + sweep pass), so concurrent jobs
-// wanting the same model wait for one training run instead of duplicating
-// it; the coarse lock is exactly that singleflight.
-type modelCache struct {
-	mu sync.Mutex
-	m  map[modelKey]*core.Ensemble
-}
-
-type modelKey struct {
-	scale  string
-	seed   int64
-	kernel string
-	mode   power.Mode
-}
-
-func (c *modelCache) get(sc experiments.Scale, scaleName, kernel string, mode power.Mode) (*core.Ensemble, error) {
-	key := modelKey{scale: scaleName, seed: sc.Seed, kernel: kernel, mode: mode}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = map[modelKey]*core.Ensemble{}
-	}
-	if ens, ok := c.m[key]; ok {
-		return ens, nil
-	}
-	ens, err := experiments.Model(sc, kernel, config.CacheMode, mode)
-	if err != nil {
-		return nil, err
-	}
-	c.m[key] = ens
-	return ens, nil
 }

@@ -180,9 +180,8 @@ type Server struct {
 	store *store.Store // nil when durability is disabled
 	mux   *http.ServeMux
 
-	logMu  sync.Mutex
-	models modelCache
-	birth  time.Time
+	logMu sync.Mutex
+	birth time.Time
 }
 
 // New builds a Server from cfg (zero value = defaults). With StoreDir set

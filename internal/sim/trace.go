@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -87,9 +88,17 @@ type PhaseMark struct {
 }
 
 // Trace is one kernel execution: the event stream, the data-layout regions
-// and the explicit phase marks. A Trace is shared read-only between
-// concurrently replaying machines and must not be copied by value once in
-// use (it carries a lazily built replay-index cache guarded by a mutex).
+// and the explicit phase marks.
+//
+// A trace is immutable once Build returns it. Everything derived from its
+// content alone — the content fingerprint, the Epochs and EpochsN grids and
+// the per-epoch replay index — is computed once, on first use, and cached on
+// the trace, so an oracle recording or a training sweep that replays one
+// trace under many configurations pays for that work once rather than once
+// per configuration. Changing a built trace would leave those caches stale.
+// A Trace is shared read-only between concurrently replaying machines (the
+// caches are safe for concurrent use) and must not be copied by value once
+// in use.
 type Trace struct {
 	Events  []Event
 	Regions []Region
@@ -104,10 +113,40 @@ type Trace struct {
 	// kernel did not record it.
 	NNZ int
 
-	// aggs caches one epochAgg per distinct epoch range replayed from this
-	// trace; see epochAggFor. Lazily built, safe for concurrent machines.
-	aggMu sync.RWMutex
-	aggs  map[[2]int]*epochAgg
+	fpOnce sync.Once
+	fp     uint64 // see Fingerprint
+
+	// mu guards the lazily built derived data: one epochAgg per distinct
+	// epoch range replayed (see epochAggFor), and one grid per distinct
+	// Epochs and EpochsN argument.
+	mu            sync.RWMutex
+	aggs          map[[2]int]*epochAgg
+	budgetGrids   map[int][]EpochRange
+	quantileGrids map[int][]EpochRange
+}
+
+// cached returns (*m)[k], building and storing it under mu on first use.
+// Concurrent builders may race to compute the same value; builds are pure
+// functions of the immutable trace, so every result is identical and the
+// first one stored wins.
+func cached[K comparable, V any](mu *sync.RWMutex, m *map[K]V, k K, build func() V) V {
+	mu.RLock()
+	v, ok := (*m)[k]
+	mu.RUnlock()
+	if ok {
+		return v
+	}
+	v = build()
+	mu.Lock()
+	defer mu.Unlock()
+	if prev, ok := (*m)[k]; ok {
+		return prev
+	}
+	if *m == nil {
+		*m = map[K]V{}
+	}
+	(*m)[k] = v
+	return v
 }
 
 // epochAgg is the precomputed replay index of one epoch range: the indices
@@ -126,28 +165,9 @@ type epochAgg struct {
 }
 
 // epochAggFor returns the replay index for ep, building and caching it on
-// first use. Concurrent builders may race to compute the same aggregate;
-// the computation is pure, so either result is identical and one wins.
+// first use.
 func (t *Trace) epochAggFor(ep EpochRange) *epochAgg {
-	k := [2]int{ep.Start, ep.End}
-	t.aggMu.RLock()
-	a := t.aggs[k]
-	t.aggMu.RUnlock()
-	if a != nil {
-		return a
-	}
-	a = t.buildAgg(ep)
-	t.aggMu.Lock()
-	if prev, ok := t.aggs[k]; ok {
-		a = prev
-	} else {
-		if t.aggs == nil {
-			t.aggs = map[[2]int]*epochAgg{}
-		}
-		t.aggs[k] = a
-	}
-	t.aggMu.Unlock()
-	return a
+	return cached(&t.mu, &t.aggs, [2]int{ep.Start, ep.End}, func() *epochAgg { return t.buildAgg(ep) })
 }
 
 // buildAgg scans ep's events once, splitting them into the memory-event
@@ -221,11 +241,17 @@ type EpochRange struct {
 // fpOpsPerGPE (Section 4: 500 for SpMSpV, 5000 for SpMSpM). The FP-op
 // boundaries are configuration-independent, which is what lets dynamic
 // schemes, oracles and static runs be compared epoch-by-epoch (Appendix
-// A.7).
+// A.7). The grid is computed once per fpOpsPerGPE and cached; each call
+// returns a fresh copy the caller owns.
 func (t *Trace) Epochs(fpOpsPerGPE int) []EpochRange {
 	if fpOpsPerGPE <= 0 {
 		panic("sim: epoch size must be positive")
 	}
+	return slices.Clone(cached(&t.mu, &t.budgetGrids, fpOpsPerGPE, func() []EpochRange { return t.epochs(fpOpsPerGPE) }))
+}
+
+// epochs computes Epochs' grid.
+func (t *Trace) epochs(fpOpsPerGPE int) []EpochRange {
 	target := fpOpsPerGPE * t.NCores
 	var out []EpochRange
 	start, fp := 0, 0
@@ -250,7 +276,8 @@ func (t *Trace) Epochs(fpOpsPerGPE int) []EpochRange {
 // what lets traces of different dataflow/format variants of the same
 // kernel be compared epoch-by-epoch: epoch e covers the same fraction of
 // the arithmetic work in every variant. n is clamped to [1, total FP ops]
-// (an epoch must contain at least one FP op to make progress).
+// (an epoch must contain at least one FP op to make progress). Like Epochs,
+// the grid is computed once per n and each call returns a fresh copy.
 func (t *Trace) EpochsN(n int) []EpochRange {
 	if n < 1 {
 		n = 1
@@ -258,6 +285,11 @@ func (t *Trace) EpochsN(n int) []EpochRange {
 	if t.FPOps > 0 && n > t.FPOps {
 		n = t.FPOps
 	}
+	return slices.Clone(cached(&t.mu, &t.quantileGrids, n, func() []EpochRange { return t.epochsN(n) }))
+}
+
+// epochsN computes EpochsN's grid for an already clamped n.
+func (t *Trace) epochsN(n int) []EpochRange {
 	out := make([]EpochRange, 0, n)
 	start, cum, epochFP, cut := 0, 0, 0, 1
 	for i, e := range t.Events {
@@ -369,8 +401,14 @@ func (b *Builder) Build() *Trace {
 // events, regions, phases and topology — used as the "matrix identity"
 // component of content-addressed simulation cache keys. Two traces with the
 // same fingerprint replay identically, so it captures everything a cached
-// epoch result depends on from the workload side.
+// epoch result depends on from the workload side. It is computed on the
+// first call and cached.
 func (t *Trace) Fingerprint() uint64 {
+	t.fpOnce.Do(func() { t.fp = t.fingerprint() })
+	return t.fp
+}
+
+func (t *Trace) fingerprint() uint64 {
 	const (
 		offset64 = 1469598103934665603
 		prime64  = 1099511628211
