@@ -42,19 +42,47 @@ func gather(x [][]float64, y []int, idx []int) ([][]float64, []int) {
 
 // CrossValidateTree returns the mean k-fold accuracy of tree parameters p.
 func CrossValidateTree(x [][]float64, y []int, p TreeParams, k int, seed int64) (float64, error) {
-	if len(x) == 0 {
-		return 0, fmt.Errorf("ml: empty dataset")
+	folds, err := presortFolds(x, y, k, seed)
+	if err != nil {
+		return 0, err
 	}
-	acc := 0.0
-	folds := KFold(len(x), k, seed)
-	for _, fold := range folds {
+	return crossValidate(folds, p)
+}
+
+// cvFold is one cross-validation split, its training rows presorted so
+// every parameter setting a grid search tries is fitted without a re-sort.
+type cvFold struct {
+	train *Presorted
+	ty    []int
+	vx    [][]float64
+	vy    []int
+}
+
+func presortFolds(x [][]float64, y []int, k int, seed int64) ([]cvFold, error) {
+	if len(x) == 0 {
+		return nil, fmt.Errorf("ml: empty dataset")
+	}
+	var folds []cvFold
+	for _, fold := range KFold(len(x), k, seed) {
 		tx, ty := gather(x, y, fold[0])
 		vx, vy := gather(x, y, fold[1])
-		t, err := TrainTree(tx, ty, p)
+		ps, err := Presort(tx)
+		if err != nil {
+			return nil, err
+		}
+		folds = append(folds, cvFold{train: ps, ty: ty, vx: vx, vy: vy})
+	}
+	return folds, nil
+}
+
+func crossValidate(folds []cvFold, p TreeParams) (float64, error) {
+	acc := 0.0
+	for _, f := range folds {
+		t, err := f.train.TrainTree(f.ty, p)
 		if err != nil {
 			return 0, err
 		}
-		acc += Accuracy(t, vx, vy)
+		acc += Accuracy(t, f.vx, f.vy)
 	}
 	return acc / float64(len(folds)), nil
 }
@@ -71,11 +99,15 @@ func GridSearchTree(x [][]float64, y []int, depths, minLeafs []int, k int, seed 
 	}
 	best := TreeParams{}
 	bestAcc := -1.0
+	folds, err := presortFolds(x, y, k, seed)
+	if err != nil {
+		return best, 0, err
+	}
 	for _, crit := range []Criterion{Gini, Entropy} {
 		for _, d := range depths {
 			for _, ml := range minLeafs {
 				p := TreeParams{Criterion: crit, MaxDepth: d, MinSamplesLeaf: ml}
-				acc, err := CrossValidateTree(x, y, p, k, seed)
+				acc, err := crossValidate(folds, p)
 				if err != nil {
 					return best, 0, err
 				}

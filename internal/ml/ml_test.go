@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +110,34 @@ func TestTreeErrors(t *testing.T) {
 	}
 	if _, err := TrainTree([][]float64{{1}}, []int{-1}, DefaultTreeParams()); err == nil {
 		t.Fatal("negative label accepted")
+	}
+	// Malformed rows are refused with the row and feature named, rather
+	// than panicking (ragged) or growing a tree that cannot be reloaded or
+	// depends on sort order (non-finite values).
+	for _, c := range []struct {
+		x    [][]float64
+		want string
+	}{
+		{[][]float64{{}, {}, {}}, "no features"},
+		{[][]float64{{1, 2}, {3}, {0, 1}}, "row 1 has 1 features"},
+		{[][]float64{{1, 2}, {3, math.Inf(-1)}, {0, 1}}, "row 1 feature 1"},
+		{[][]float64{{1, 2}, {3, 4}, {math.Inf(1), 1}}, "row 2 feature 0"},
+		{[][]float64{{1, 2}, {3, 4}, {0, math.NaN()}}, "row 2 feature 1"},
+	} {
+		_, err := TrainTree(c.x, []int{0, 1, 0}, DefaultTreeParams())
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("TrainTree(%v) error %v, want one containing %q", c.x, err, c.want)
+		}
+	}
+	ps, err := Presort([][]float64{{1}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ps.TrainTree([]int{0}, DefaultTreeParams()); err == nil {
+		t.Fatal("label count mismatch accepted")
+	}
+	if _, err := ps.TrainTree([]int{0, -1}, DefaultTreeParams()); err == nil {
+		t.Fatal("negative label accepted by a presorted fit")
 	}
 }
 

@@ -9,7 +9,7 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Classifier predicts a class label from a feature vector.
@@ -68,30 +68,14 @@ type Tree struct {
 }
 
 // TrainTree fits a decision tree to X (n×f) with integer class labels Y.
+// Fitting several trees on one matrix is cheaper through Presort and
+// Presorted.TrainTree, which sort the matrix once for all of them.
 func TrainTree(x [][]float64, y []int, p TreeParams) (*Tree, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, fmt.Errorf("ml: bad training set: %d samples, %d labels", len(x), len(y))
+	ps, err := Presort(x)
+	if err != nil {
+		return nil, err
 	}
-	if p.MinSamplesLeaf < 1 {
-		p.MinSamplesLeaf = 1
-	}
-	nf := len(x[0])
-	nc := 0
-	for _, yy := range y {
-		if yy < 0 {
-			return nil, fmt.Errorf("ml: negative class label %d", yy)
-		}
-		if yy+1 > nc {
-			nc = yy + 1
-		}
-	}
-	t := &Tree{nFeatures: nf, nClasses: nc, importance: make([]float64, nf), params: p}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.build(x, y, idx, 0)
-	return t, nil
+	return ps.TrainTree(y, p)
 }
 
 // impurity computes the node impurity from class counts.
@@ -130,48 +114,167 @@ func majority(counts []int) int {
 	return best
 }
 
-// build grows the subtree over the samples in idx and returns its node id.
-func (t *Tree) build(x [][]float64, y []int, idx []int, depth int) int {
-	counts := make([]int, t.nClasses)
-	for _, i := range idx {
-		counts[y[i]]++
+// Presorted is a training matrix together with, for every feature, its row
+// indices in ascending order of that feature's value. CART scans each
+// node's samples in feature order; sorting once per matrix and partitioning
+// those orders as the tree grows replaces a sort per node and feature, and
+// one Presorted serves every tree fitted on the same matrix (one per
+// configuration parameter, or one per hyperparameter setting).
+//
+// A Presorted is read-only after Presort returns: each fit copies the
+// orders it partitions. The rows of the matrix must not change while it is
+// in use.
+type Presorted struct {
+	x     [][]float64
+	nf    int
+	order []int32 // feature f's row order is order[f*len(x) : (f+1)*len(x)]
+}
+
+// Presort checks that x is a non-empty matrix of finite values with at
+// least one feature, then sorts each feature's row indices by value.
+func Presort(x [][]float64) (*Presorted, error) {
+	n := len(x)
+	if n == 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("ml: bad training set: %d samples", n)
+	}
+	nf := len(x[0])
+	if nf == 0 {
+		return nil, fmt.Errorf("ml: bad training set: rows have no features")
+	}
+	for i, row := range x {
+		if len(row) != nf {
+			return nil, fmt.Errorf("ml: bad training set: row %d has %d features, row 0 has %d", i, len(row), nf)
+		}
+		for f, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("ml: bad training set: row %d feature %d is %v", i, f, v)
+			}
+		}
+	}
+	type keyed struct {
+		v float64
+		i int32
+	}
+	col := make([]keyed, n)
+	ps := &Presorted{x: x, nf: nf, order: make([]int32, n*nf)}
+	for f := 0; f < nf; f++ {
+		for i, row := range x {
+			col[i] = keyed{row[f], int32(i)}
+		}
+		// Equal values, ±0 included, may come out in any order: a split
+		// is only ever taken between two distinct values, so the order
+		// within a run of equal values reaches no threshold, count or gain.
+		slices.SortFunc(col, func(a, b keyed) int {
+			if a.v < b.v {
+				return -1
+			}
+			if a.v > b.v {
+				return 1
+			}
+			return 0
+		})
+		o := ps.order[f*n : (f+1)*n]
+		for k, e := range col {
+			o[k] = e.i
+		}
+	}
+	return ps, nil
+}
+
+// TrainTree fits a decision tree to the presorted matrix with integer class
+// labels y, one per row.
+func (ps *Presorted) TrainTree(y []int, p TreeParams) (*Tree, error) {
+	if len(y) != len(ps.x) {
+		return nil, fmt.Errorf("ml: bad training set: %d samples, %d labels", len(ps.x), len(y))
+	}
+	if p.MinSamplesLeaf < 1 {
+		p.MinSamplesLeaf = 1
+	}
+	nc := 0
+	for _, yy := range y {
+		if yy < 0 {
+			return nil, fmt.Errorf("ml: negative class label %d", yy)
+		}
+		if yy+1 > nc {
+			nc = yy + 1
+		}
+	}
+	t := &Tree{nFeatures: ps.nf, nClasses: nc, importance: make([]float64, ps.nf), params: p}
+	g := &grower{
+		t: t, x: ps.x, y: y, n: len(ps.x),
+		order:    slices.Clone(ps.order),
+		spill:    make([]int32, len(ps.x)),
+		left:     make([]bool, len(ps.x)),
+		counts:   make([]int, nc),
+		leftCnt:  make([]int, nc),
+		rightCnt: make([]int, nc),
+	}
+	g.grow(0, len(ps.x), 0)
+	return t, nil
+}
+
+// grower holds one fit's working state. Every node owns the same range
+// [lo, hi) of every feature's order, and splitting a node stable-partitions
+// each of those ranges, so both children's ranges stay sorted.
+type grower struct {
+	t     *Tree
+	x     [][]float64
+	y     []int
+	n     int
+	order []int32 // this fit's copy of Presorted.order
+	spill []int32 // right-hand rows during a partition
+	left  []bool  // per row: goes to the left child of the node being split
+
+	// Class counts of the node being grown, and of the two sides of the
+	// boundary being scored. A node is done with them before its children
+	// are grown, so one set serves the whole tree.
+	counts, leftCnt, rightCnt []int
+}
+
+// grow grows the subtree over the rows in [lo, hi) of each feature's order
+// and returns its node id. Nodes are appended depth-first, left before
+// right. The scan visits, per feature, the same boundaries between distinct
+// values in the same ascending order with the same class counts as sorting
+// the node's rows would, so the tree is the one a per-node sort grows.
+func (g *grower) grow(lo, hi, depth int) int {
+	t := g.t
+	n := hi - lo
+	counts := g.counts
+	clear(counts)
+	for _, i := range g.order[lo:hi] { // feature 0's range: the node's rows
+		counts[g.y[i]]++
 	}
 	id := len(t.nodes)
-	t.nodes = append(t.nodes, node{feature: -1, label: majority(counts), samples: len(idx)})
+	t.nodes = append(t.nodes, node{feature: -1, label: majority(counts), samples: n})
 
-	imp := impurity(counts, len(idx), t.params.Criterion)
-	if imp == 0 || len(idx) < 2*t.params.MinSamplesLeaf ||
+	imp := impurity(counts, n, t.params.Criterion)
+	if imp == 0 || n < 2*t.params.MinSamplesLeaf ||
 		(t.params.MaxDepth > 0 && depth >= t.params.MaxDepth) {
 		return id
 	}
 
 	bestFeat, bestThr, bestGain := -1, 0.0, 1e-12
-	sorted := make([]int, len(idx))
-	leftCnt := make([]int, t.nClasses)
+	leftCnt, rightCnt := g.leftCnt, g.rightCnt
 	for f := 0; f < t.nFeatures; f++ {
-		copy(sorted, idx)
-		sort.Slice(sorted, func(a, b int) bool { return x[sorted[a]][f] < x[sorted[b]][f] })
-		for c := range leftCnt {
-			leftCnt[c] = 0
-		}
-		for k := 0; k < len(sorted)-1; k++ {
-			leftCnt[y[sorted[k]]]++
+		sorted := g.order[f*g.n+lo : f*g.n+hi]
+		clear(leftCnt)
+		for k := 0; k < n-1; k++ {
+			leftCnt[g.y[sorted[k]]]++
 			nl := k + 1
-			nr := len(sorted) - nl
+			nr := n - nl
 			if nl < t.params.MinSamplesLeaf || nr < t.params.MinSamplesLeaf {
 				continue
 			}
-			v, vn := x[sorted[k]][f], x[sorted[k+1]][f]
+			v, vn := g.x[sorted[k]][f], g.x[sorted[k+1]][f]
 			if v == vn {
 				continue // cannot split between equal values
 			}
-			rightCnt := make([]int, t.nClasses)
 			for c := range rightCnt {
 				rightCnt[c] = counts[c] - leftCnt[c]
 			}
 			gain := imp -
 				(float64(nl)*impurity(leftCnt, nl, t.params.Criterion)+
-					float64(nr)*impurity(rightCnt, nr, t.params.Criterion))/float64(len(sorted))
+					float64(nr)*impurity(rightCnt, nr, t.params.Criterion))/float64(n)
 			if gain > bestGain {
 				bestFeat, bestThr, bestGain = f, (v+vn)/2, gain
 			}
@@ -181,20 +284,33 @@ func (t *Tree) build(x [][]float64, y []int, idx []int, depth int) int {
 		return id
 	}
 
-	var li, ri []int
-	for _, i := range idx {
-		if x[i][bestFeat] <= bestThr {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
+	nl := 0
+	for _, i := range g.order[lo:hi] {
+		g.left[i] = g.x[i][bestFeat] <= bestThr
+		if g.left[i] {
+			nl++
 		}
 	}
-	if len(li) == 0 || len(ri) == 0 {
+	if nl == 0 || nl == n {
 		return id
 	}
-	t.importance[bestFeat] += float64(len(idx)) * bestGain
-	l := t.build(x, y, li, depth+1)
-	r := t.build(x, y, ri, depth+1)
+	t.importance[bestFeat] += float64(n) * bestGain
+	for f := 0; f < t.nFeatures; f++ {
+		rows := g.order[f*g.n+lo : f*g.n+hi]
+		a, b := 0, 0
+		for _, i := range rows {
+			if g.left[i] {
+				rows[a] = i
+				a++
+			} else {
+				g.spill[b] = i
+				b++
+			}
+		}
+		copy(rows[a:], g.spill[:b])
+	}
+	l := g.grow(lo, lo+nl, depth+1)
+	r := g.grow(lo+nl, hi, depth+1)
 	t.nodes[id].feature = bestFeat
 	t.nodes[id].threshold = bestThr
 	t.nodes[id].left = l

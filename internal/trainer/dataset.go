@@ -313,11 +313,15 @@ func GenerateEngine(ctx context.Context, eng *engine.Engine, sw SweepSpec, mode 
 }
 
 // Train fits one decision tree per runtime parameter on the dataset and
-// returns the ensemble.
+// returns the ensemble. The trees share one presorted feature matrix.
 func Train(ds *Dataset, params ml.TreeParams) (*core.Ensemble, error) {
 	x := make([][]float64, len(ds.Examples))
 	for i, e := range ds.Examples {
 		x[i] = e.X
+	}
+	ps, err := ml.Presort(x)
+	if err != nil {
+		return nil, fmt.Errorf("trainer: %w", err)
 	}
 	ens := &core.Ensemble{Trees: map[config.Param]*ml.Tree{}, Mode: ds.Mode}
 	for _, p := range config.RuntimeParams {
@@ -325,7 +329,7 @@ func Train(ds *Dataset, params ml.TreeParams) (*core.Ensemble, error) {
 		for i, e := range ds.Examples {
 			y[i] = e.Y[p]
 		}
-		t, err := ml.TrainTree(x, y, params)
+		t, err := ps.TrainTree(y, params)
 		if err != nil {
 			return nil, fmt.Errorf("trainer: parameter %v: %w", p, err)
 		}
@@ -341,6 +345,10 @@ func TrainCV(ds *Dataset, depths, minLeafs []int, folds int) (*core.Ensemble, er
 	for i, e := range ds.Examples {
 		x[i] = e.X
 	}
+	ps, err := ml.Presort(x)
+	if err != nil {
+		return nil, fmt.Errorf("trainer: %w", err)
+	}
 	ens := &core.Ensemble{Trees: map[config.Param]*ml.Tree{}, Mode: ds.Mode}
 	for _, p := range config.RuntimeParams {
 		y := make([]int, len(ds.Examples))
@@ -351,7 +359,7 @@ func TrainCV(ds *Dataset, depths, minLeafs []int, folds int) (*core.Ensemble, er
 		if err != nil {
 			return nil, err
 		}
-		t, err := ml.TrainTree(x, y, best)
+		t, err := ps.TrainTree(y, best)
 		if err != nil {
 			return nil, err
 		}
