@@ -326,8 +326,8 @@ func BenchmarkEngineOracleRecord(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := engine.New(engine.Options{Workers: workers})
-				if _, err := oracle.RecordEngine(context.Background(), eng,
-					chip, sim.DefaultBandwidth, w, 0.05, cfgs); err != nil {
+				if _, err := oracle.RecordSourceEngine(context.Background(), eng, nil,
+					chip, sim.DefaultBandwidth, kernels.Fixed(w), 0.05, cfgs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -345,8 +345,8 @@ func BenchmarkEngineCacheCold(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng := engine.New(engine.Options{Workers: 4, Cache: cache})
-		if _, err := oracle.RecordEngine(context.Background(), eng,
-			chip, sim.DefaultBandwidth, w, 0.05, cfgs); err != nil {
+		if _, err := oracle.RecordSourceEngine(context.Background(), eng, nil,
+			chip, sim.DefaultBandwidth, kernels.Fixed(w), 0.05, cfgs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -361,15 +361,15 @@ func BenchmarkEngineCacheWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	warm := engine.New(engine.Options{Workers: 4, Cache: cache})
-	if _, err := oracle.RecordEngine(context.Background(), warm,
-		chip, sim.DefaultBandwidth, w, 0.05, cfgs); err != nil {
+	if _, err := oracle.RecordSourceEngine(context.Background(), warm, nil,
+		chip, sim.DefaultBandwidth, kernels.Fixed(w), 0.05, cfgs); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := engine.New(engine.Options{Workers: 4, Cache: cache})
-		if _, err := oracle.RecordEngine(context.Background(), eng,
-			chip, sim.DefaultBandwidth, w, 0.05, cfgs); err != nil {
+		if _, err := oracle.RecordSourceEngine(context.Background(), eng, nil,
+			chip, sim.DefaultBandwidth, kernels.Fixed(w), 0.05, cfgs); err != nil {
 			b.Fatal(err)
 		}
 	}

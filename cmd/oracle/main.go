@@ -111,7 +111,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown kernel %q", *kernel))
 	}
-	nEpochs, _, err := src.GridEpochs(sc.Epoch)
+	_, eps, err := src.Grid(config.Baseline, sc.Epoch)
 	if err != nil {
 		fatal(err)
 	}
@@ -130,7 +130,7 @@ func main() {
 	cfgs := oracle.SampleConfigs(rng, *samples, config.CacheMode)
 	cfgs = pinConfigs(cfgs, *dataflow, *format)
 	fmt.Printf("recording %s on %s: %d configs x %d epochs, %d workers\n",
-		*kernel, *matID, len(cfgs), nEpochs, eng.Workers())
+		*kernel, *matID, len(cfgs), len(eps), eng.Workers())
 	rec, err := oracle.RecordSourceEngine(context.Background(), eng, sim.SharedRunMemo(), sc.Chip, sc.BW, src, sc.Epoch, cfgs)
 	if err != nil {
 		fatal(err)

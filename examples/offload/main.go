@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -60,7 +61,7 @@ func main() {
 			BytesIn:  host.InputBytes(a.NNZ(), dim) + host.InputBytes(x.NNZ(), dim),
 			BytesOut: y.NNZ() * 12,
 		}
-		res, err := runner.RunAdaptive(ens,
+		res, _, err := runner.RunAdaptiveFull(context.Background(), ens,
 			core.Options{Policy: core.Hybrid, Tolerance: 0.4, EpochScale: epochScale},
 			config.Baseline, off)
 		if err != nil {

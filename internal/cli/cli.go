@@ -470,15 +470,18 @@ func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 				return err
 			}
 			fmt.Fprintf(w, "resuming from %s at epoch %d\n", *ckPath, ck.Epoch)
-			dyn, err = rc.Resume(m, wl, ck)
+			dyn, err = rc.Resume(ctx, m, wl, ck)
 			if err != nil {
 				return err
 			}
-		} else if dyn, err = rc.Run(m, wl); err != nil {
+		} else if dyn, err = rc.Run(ctx, m, wl); err != nil {
 			return err
 		}
-	} else if dyn, err = core.NewController(ens, opts).Observe(observer).RunContext(ctx, m, wl); err != nil {
-		return err
+	} else {
+		ctl := core.NewController(ens, opts).Observe(observer)
+		if dyn, err = core.Drive(ctx, m, kernels.Fixed(wl), ctl.Opts.EpochScale, ctl); err != nil {
+			return err
+		}
 	}
 
 	fmt.Fprintf(w, "workload %s on %s (%d epochs, %d reconfigs, mode %s, policy %s)\n",

@@ -17,7 +17,8 @@ import (
 // replaying the recorded configuration schedule (no model inference)
 // against the same workload, then continues the control loop from Epoch
 // with identical state — the epoch log tail matches an uninterrupted run
-// exactly.
+// exactly. The replay runs through Drive like any other epoch: the first
+// Epoch boundaries of a resumed run take the recorded decisions.
 type Checkpoint struct {
 	Version int `json:"version"`
 	// Epoch is the number of completed epochs; Resume continues at index
@@ -66,19 +67,23 @@ func writeFileAtomic(path string, data []byte) error {
 }
 
 // writeCheckpoint captures the live run state after `done` completed epochs.
-func (c *ResilientController) writeCheckpoint(m *sim.Machine, st *runState, done int) error {
+func (c *ResilientController) writeCheckpoint(m *sim.Machine, run *RunResult, done int) error {
+	reconfig := run.Reconfig
+	if c.reconfigured {
+		reconfig++ // Drive counts this boundary's reconfiguration after Step
+	}
 	ck := Checkpoint{
 		Version:      checkpointVersion,
 		Epoch:        done,
-		Start:        st.res.Epochs[0].Config,
+		Start:        run.Epochs[0].Config,
 		Next:         m.Config(),
-		Reconfigured: st.reconfigured,
-		InFallback:   st.inFallback,
-		Total:        st.res.Total,
-		Epochs:       st.res.Epochs,
-		Reconfig:     st.res.Reconfig,
-		Watchdog:     st.wd,
-		Report:       st.res.Resilience,
+		Reconfigured: c.reconfigured,
+		InFallback:   c.inFallback,
+		Total:        run.Total,
+		Epochs:       run.Epochs,
+		Reconfig:     reconfig,
+		Watchdog:     c.wd,
+		Report:       c.report,
 	}
 	data, err := json.Marshal(ck)
 	if err != nil {
@@ -121,41 +126,41 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// fastForward replays the checkpointed prefix against a fresh machine: each
-// recorded epoch runs under its recorded configuration and each boundary
+// replay re-runs boundary j of a resumed run's checkpointed prefix. The
+// epoch ran under its recorded configuration; the recorded boundary
 // reconfiguration is re-applied through the same fault-injected protocol
 // (same hash keys → same drops and penalties), rebuilding the exact
 // microarchitectural and pending-cost state the original run had at the
-// checkpoint. Model inference is skipped entirely.
-func (c *ResilientController) fastForward(m *sim.Machine, eps []sim.EpochRange, ck *Checkpoint) error {
-	if ck.Epoch > len(eps) {
-		return fmt.Errorf("core: checkpoint at epoch %d exceeds workload's %d epochs", ck.Epoch, len(eps))
+// checkpoint. Model inference is skipped, nothing is observed, and the
+// epoch's log and the prefix's totals are the recorded ones.
+func (c resilientRun) replay(m *sim.Machine, b Boundary) (bool, bool, error) {
+	ck, j := c.resume, b.Epoch
+	if m.Config() != ck.Epochs[j].Config {
+		return false, false, fmt.Errorf("core: replay diverged at epoch %d: machine %v, recorded %v", j, m.Config(), ck.Epochs[j].Config)
 	}
-	if m.Config() != ck.Start {
-		return fmt.Errorf("core: machine starts at %v, checkpoint recorded %v", m.Config(), ck.Start)
+	if b.Last && j < ck.Epoch-1 {
+		return false, false, fmt.Errorf("core: checkpoint at epoch %d exceeds workload's %d epochs", ck.Epoch, j+1)
 	}
-	for j := 0; j < ck.Epoch; j++ {
-		if m.Config() != ck.Epochs[j].Config {
-			return fmt.Errorf("core: replay diverged at epoch %d: machine %v, recorded %v", j, m.Config(), ck.Epochs[j].Config)
+	*b.Log() = ck.Epochs[j]
+	// Telemetry injection must replay too: stuck-at faults reference the
+	// previous true frame, so the injector's state advances epoch by epoch
+	// exactly as it did originally.
+	if c.Inject != nil {
+		c.Inject.PerturbTelemetry(j, b.Result.Counters)
+	}
+	// Re-apply the boundary reconfiguration, if one took.
+	next, took := ck.Next, ck.Reconfigured
+	if j < ck.Epoch-1 {
+		next, took = ck.Epochs[j+1].Config, ck.Epochs[j+1].Reconfigured
+	}
+	if took {
+		c.attemptReconfig(m, j, next)
+	}
+	if j == ck.Epoch-1 {
+		if m.Config() != ck.Next {
+			return false, false, fmt.Errorf("core: replay ended at %v, checkpoint recorded %v", m.Config(), ck.Next)
 		}
-		r := m.RunEpoch(eps[j])
-		// Telemetry injection must replay too: stuck-at faults reference the
-		// previous true frame, so the injector's state advances epoch by
-		// epoch exactly as it did originally.
-		if c.Inject != nil {
-			c.Inject.PerturbTelemetry(j, r.Counters)
-		}
-		// Re-apply the boundary reconfiguration, if one took.
-		if j < ck.Epoch-1 {
-			if ck.Epochs[j+1].Reconfigured {
-				c.attemptReconfig(m, j, ck.Epochs[j+1].Config)
-			}
-		} else if ck.Reconfigured {
-			c.attemptReconfig(m, j, ck.Next)
-		}
+		b.Run.Total = ck.Total
 	}
-	if m.Config() != ck.Next {
-		return fmt.Errorf("core: replay ended at %v, checkpoint recorded %v", m.Config(), ck.Next)
-	}
-	return nil
+	return took, false, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"sparseadapt/internal/config"
 	"sparseadapt/internal/kernels"
 	"sparseadapt/internal/sim"
@@ -91,38 +93,20 @@ func NewHistoryController(model *Ensemble, opts Options, h int) *HistoryControll
 	return &HistoryController{Model: model, Opts: opts, H: h}
 }
 
-// Run executes the workload under history-based control.
+// Run executes the workload under history-based control on its one trace.
 func (c *HistoryController) Run(m *sim.Machine, w kernels.Workload) RunResult {
-	m.BindTrace(w.Trace)
-	inner := Controller{Model: c.Model, Opts: c.Opts}
-	var res RunResult
-	var window []sim.Counters
-	reconfigured := false
-	for _, ep := range w.Epochs(c.Opts.EpochScale) {
-		r := m.RunEpoch(ep)
-		res.Total.Add(r.Metrics)
-		res.Epochs = append(res.Epochs, EpochLog{
-			Config: m.Config(), Metrics: r.Metrics, Counters: r.Counters,
-			Phase: r.Phase, Reconfigured: reconfigured,
-		})
-		window = append(window, r.Counters)
-		if len(window) > c.H {
-			window = window[1:]
-		}
-		x := BuildHistoryFeatures(m.Config(), window, c.H)
-		pred := c.Model.PredictX(m.Config(), x)
-		// Single bound trace: the algorithm axes cannot move (see RunContext).
-		for _, p := range []config.Param{config.Dataflow, config.Format, config.SchedPolicy} {
-			pred[p] = m.Config()[p]
-		}
-		next := inner.filter(m, pred, r.Metrics.TimeSec, r.DirtyL1, r.DirtyL2, m.TraceNNZ())
-		reconfigured = false
-		if next != m.Config() {
-			if _, err := m.Reconfigure(next); err == nil {
-				res.Reconfig++
-				reconfigured = true
-			}
-		}
-	}
+	res, _ := Drive(context.Background(), m, kernels.Fixed(w), c.Opts.EpochScale, c)
 	return res
+}
+
+// Step predicts from the last H epochs' telemetry, which the run result
+// already holds, and applies the policy-filtered prediction.
+func (c *HistoryController) Step(m *sim.Machine, b Boundary) (bool, bool, error) {
+	window := make([]sim.Counters, 0, c.H)
+	for _, e := range b.Run.Epochs[max(0, b.Epoch+1-c.H) : b.Epoch+1] {
+		window = append(window, e.Counters)
+	}
+	inner := Controller{Model: c.Model, Opts: c.Opts}
+	_, next := inner.choose(m, c.Model.PredictX(m.Config(), BuildHistoryFeatures(m.Config(), window, c.H)), b)
+	return inner.apply(m, next), false, nil
 }

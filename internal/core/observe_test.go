@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestObserverResilientEvents(t *testing.T) {
 	opts := DefaultResilientOptions()
 	opts.EpochScale = 0.1
 	m := sim.New(chip, sim.DefaultBandwidth, config.Baseline)
-	res, err := NewResilientController(ens, opts).Observe(o).Run(m, w)
+	res, err := NewResilientController(ens, opts).Observe(o).Run(context.Background(), m, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestObserverResilientEvents(t *testing.T) {
 
 	// The nil observer costs nothing and crashes nothing.
 	m2 := sim.New(chip, sim.DefaultBandwidth, config.Baseline)
-	if _, err := NewResilientController(ens, opts).Run(m2, w); err != nil {
+	if _, err := NewResilientController(ens, opts).Run(context.Background(), m2, w); err != nil {
 		t.Fatal(err)
 	}
 }

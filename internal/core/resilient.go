@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -108,7 +109,7 @@ type ResilienceReport struct {
 	DegradedEpochs int `json:"degraded_epochs"`
 	// InterferenceEpochs counts over-threshold epochs coincident with a
 	// tenant-switch boundary, classified as co-tenant interference rather
-	// than degradation (multi-tenant runs only; see ResilientStepper).
+	// than degradation (multi-tenant runs only; see ResilientController).
 	InterferenceEpochs int `json:"interference_epochs,omitempty"`
 	// Fallbacks counts watchdog trips into the safe static configuration.
 	Fallbacks int `json:"fallbacks"`
@@ -277,14 +278,52 @@ func epochCost(m power.Metrics) float64 {
 // ResilientController drives the SparseAdapt feedback loop with the full
 // resilience layer active. Inject is optional fault injection for drills
 // and tests.
+//
+// Run and Resume drive a whole workload through Drive. Step serves
+// schedulers that own the epoch loop themselves: the multi-tenant fabric
+// multiplexer (internal/tenant) interleaves many jobs' epochs on one
+// machine, so each tenant carries its own controller, the multiplexer
+// reports tenant-switch boundaries via NoteSwitch, and feeds every
+// completed epoch to Step.
+//
+// The watchdog is interference-aware: an over-threshold epoch that
+// coincides with a tenant-switch boundary is classified as co-tenant
+// interference — the cold-cache spike the switch itself caused — rather
+// than degradation. An interference epoch does not advance the degraded
+// streak, does not enter the healthy baseline window, and does not trip
+// the fallback; the model still re-predicts from the epoch's (sanitized)
+// telemetry, so control adapts to the post-switch state instead of
+// retreating from it. Re-predict, don't fall back.
+//
+// Under Step, Model may be nil: the controller then holds the current
+// configuration and runs watchdog classification only, which is how
+// tenants without a trained model (or tests that must not pay for
+// training) use it.
 type ResilientController struct {
 	Model  *Ensemble
 	Opts   ResilientOptions
 	Inject FaultInjector
 	// Obs is the optional run observer (nil = observability off). Beyond
 	// the plain controller's records it captures sanitizer repairs,
-	// watchdog trips, fallback transitions and reconfig failures.
+	// watchdog trips, fallback transitions and reconfig failures; under
+	// Step, records carry the interference classification and the
+	// observer's Tenant stamp.
 	Obs *Observer
+
+	loopState
+}
+
+// loopState is the live control state carried from boundary to boundary
+// and captured by checkpoints.
+type loopState struct {
+	wd            watchdogState
+	inFallback    bool
+	reconfigured  bool // the last boundary reconfigured the machine
+	switchPending bool
+	epochs        int // epochs observed through Step
+	report        ResilienceReport
+	// resume is the checkpoint whose prefix a resumed run replays.
+	resume *Checkpoint
 }
 
 // NewResilientController builds the controller, normalizing options.
@@ -298,6 +337,20 @@ func (c *ResilientController) Observe(o *Observer) *ResilientController {
 	c.Obs = o
 	return c
 }
+
+// NoteSwitch tells the controller the next epoch it observes is the first
+// one after a tenant switch, so an over-threshold cost there is classified
+// as interference instead of degradation.
+func (c *ResilientController) NoteSwitch() {
+	c.switchPending = true
+}
+
+// Report returns the resilience summary accumulated so far.
+func (c *ResilientController) Report() ResilienceReport { return c.report }
+
+// Flush closes the observer's pending epoch record; the multiplexer calls it
+// when the tenant's job completes.
+func (c *ResilientController) Flush() { c.Obs.flush() }
 
 // attemptReconfig drives one epoch-boundary reconfiguration with fault
 // injection, verification and bounded retry. epoch is the epoch just
@@ -331,18 +384,12 @@ func (c *ResilientController) attemptReconfig(m *sim.Machine, epoch int, target 
 	return m.Config() == target, c.Opts.ReconfigRetries, cost
 }
 
-// runState is the live controller state threaded through the loop and
-// captured by checkpoints.
-type runState struct {
-	res          RunResult
-	wd           watchdogState
-	reconfigured bool // next epoch entered with a config change
-	inFallback   bool
-}
-
-// Run executes the workload under resilient SparseAdapt control.
-func (c *ResilientController) Run(m *sim.Machine, w kernels.Workload) (RunResult, error) {
-	return c.run(m, w, nil)
+// Run executes the workload under resilient SparseAdapt control. A
+// cancelled context stops the run at the next epoch boundary and returns
+// the partial result with the context's error; the last checkpoint on
+// disk still resumes to the uninterrupted result.
+func (c *ResilientController) Run(ctx context.Context, m *sim.Machine, w kernels.Workload) (RunResult, error) {
+	return c.drive(ctx, m, w, nil)
 }
 
 // Resume continues a run from a checkpoint written by a previous Run: the
@@ -351,184 +398,202 @@ func (c *ResilientController) Run(m *sim.Machine, w kernels.Workload) (RunResult
 // model inference — and the control loop continues from the checkpointed
 // epoch with identical state, so the epoch log tail matches the
 // uninterrupted run exactly.
-func (c *ResilientController) Resume(m *sim.Machine, w kernels.Workload, ck *Checkpoint) (RunResult, error) {
+func (c *ResilientController) Resume(ctx context.Context, m *sim.Machine, w kernels.Workload, ck *Checkpoint) (RunResult, error) {
 	if ck == nil {
 		return RunResult{}, fmt.Errorf("core: nil checkpoint")
 	}
-	return c.run(m, w, ck)
+	return c.drive(ctx, m, w, ck)
 }
 
-func (c *ResilientController) run(m *sim.Machine, w kernels.Workload, ck *Checkpoint) (RunResult, error) {
+func (c *ResilientController) drive(ctx context.Context, m *sim.Machine, w kernels.Workload, ck *Checkpoint) (RunResult, error) {
 	if c.Model == nil {
 		return RunResult{}, fmt.Errorf("core: resilient controller has no model")
 	}
 	c.Opts = c.Opts.normalize()
-	m.BindTrace(w.Trace)
-	eps := w.Epochs(c.Opts.EpochScale)
-
-	var st runState
-	inner := Controller{Model: c.Model, Opts: c.Opts.Options}
-	start := 0
+	c.loopState = loopState{}
 	if ck != nil {
-		if err := c.fastForward(m, eps, ck); err != nil {
-			return RunResult{}, err
+		if m.Config() != ck.Start {
+			return RunResult{}, fmt.Errorf("core: machine starts at %v, checkpoint recorded %v", m.Config(), ck.Start)
 		}
-		st = runState{
-			res: RunResult{
-				Total:      ck.Total,
-				Epochs:     append([]EpochLog(nil), ck.Epochs...),
-				Reconfig:   ck.Reconfig,
-				Resilience: ck.Report,
-			},
-			wd:           ck.Watchdog,
-			reconfigured: ck.Reconfigured,
-			inFallback:   ck.InFallback,
-		}
-		start = ck.Epoch
-	}
-
-	for i := start; i < len(eps); i++ {
-		r := m.RunEpoch(eps[i])
-		st.res.Total.Add(r.Metrics)
-		log := EpochLog{
-			Config: m.Config(), Metrics: r.Metrics, Counters: r.Counters,
-			Phase: r.Phase, Reconfigured: st.reconfigured, Fallback: st.inFallback,
-		}
-		st.reconfigured = false
-
-		// Telemetry path: inject, maybe drop, sanitize.
-		obs := r.Counters
-		dropped := false
-		if c.Inject != nil {
-			// PerturbTelemetry always runs so stateful faults stay in step.
-			obs, _ = c.Inject.PerturbTelemetry(i, r.Counters)
-			dropped = c.Inject.DropTelemetry(i)
-		}
-		clean, repairs := SanitizeCounters(obs)
-		log.Repairs = repairs
-		log.TelemetryDropped = dropped
-		st.res.Resilience.Repairs += repairs
-		if dropped {
-			st.res.Resilience.DroppedTelemetry++
-		}
-
-		// Watchdog: classify this epoch's cost against the trailing
-		// baseline. Fallback epochs feed the baseline too — they run the
-		// safe config, which is exactly what "healthy" means here.
-		log.Degraded = st.wd.observe(epochCost(r.Metrics), c.Opts.DegradeFactor, c.Opts.WatchdogWindow)
-		if log.Degraded {
-			st.res.Resilience.DegradedEpochs++
-		}
-		if st.inFallback {
-			st.res.Resilience.FallbackEpochs++
-		}
-		st.res.Epochs = append(st.res.Epochs, log)
-		c.Obs.epoch(i, log)
-
-		// Boundary decision for the next epoch.
-		if i < len(eps)-1 {
-			c.decide(m, &inner, &st, i, r, clean, dropped)
-		}
-
-		done := i + 1
-		if c.Opts.CheckpointPath != "" && (done%c.Opts.CheckpointEvery == 0 || done == len(eps)) {
-			if err := c.writeCheckpoint(m, &st, done); err != nil {
-				return st.res, fmt.Errorf("core: checkpoint at epoch %d: %w", done, err)
-			}
-			st.res.Resilience.Checkpoints++
-			c.Obs.event("checkpoint", map[string]string{"epoch": fmt.Sprintf("%d", done)})
-		}
-		if c.Opts.StopAfter > 0 && done >= c.Opts.StopAfter {
-			break
+		c.loopState = loopState{
+			wd: ck.Watchdog, inFallback: ck.InFallback, reconfigured: ck.Reconfigured,
+			report: ck.Report, resume: ck,
 		}
 	}
-	c.Obs.flush()
-	return st.res, nil
+	res, err := Drive(ctx, m, kernels.Fixed(w), c.Opts.EpochScale, resilientRun{c})
+	res.Resilience = c.report
+	return res, err
 }
 
-// decide performs the epoch-boundary control decision after epoch i:
-// watchdog trips and cooldown bookkeeping, or a validated model prediction
-// filtered through the reconfiguration-cost policy, then a verified (and
-// retried) reconfiguration.
-func (c *ResilientController) decide(m *sim.Machine, inner *Controller, st *runState, i int, r sim.EpochResult, clean sim.Counters, dropped bool) {
-	rep := &st.res.Resilience
+// resilientRun is a ResilientController driving a whole run: it skips the
+// decision after the final epoch, writes checkpoints and honors StopAfter.
+type resilientRun struct{ *ResilientController }
 
+func (c resilientRun) Step(m *sim.Machine, b Boundary) (bool, bool, error) {
+	if c.resume != nil && b.Epoch < c.resume.Epoch {
+		return c.replay(m, b)
+	}
+	clean, dropped := c.observe(b, b.Log())
+	if !b.Last {
+		c.decide(m, b, clean, dropped)
+	}
+	done := b.Epoch + 1
+	if c.Opts.CheckpointPath != "" && (done%c.Opts.CheckpointEvery == 0 || b.Last) {
+		if err := c.writeCheckpoint(m, b.Run, done); err != nil {
+			return c.reconfigured, false, fmt.Errorf("core: checkpoint at epoch %d: %w", done, err)
+		}
+		c.report.Checkpoints++
+		c.Obs.event("checkpoint", map[string]string{"epoch": fmt.Sprintf("%d", done)})
+	}
+	return c.reconfigured, c.Opts.StopAfter > 0 && done >= c.Opts.StopAfter, nil
+}
+
+func (c resilientRun) flush() { c.Obs.flush() }
+
+// Step observes one epoch that a scheduler owning the epoch loop ran on m
+// for this controller's job, and performs the boundary decision for the
+// next: watchdog classification (degraded vs interference), fallback
+// bookkeeping, and — model permitting — a validated, policy-filtered
+// prediction applied to the machine. The job runs on a single trace, so
+// the algorithm axes are held. It returns the annotated epoch log; after
+// Step returns, m.Config() is the configuration the job's next epoch
+// should run under.
+func (c *ResilientController) Step(m *sim.Machine, r sim.EpochResult) EpochLog {
+	log := EpochLog{
+		Config: m.Config(), Metrics: r.Metrics, Counters: r.Counters,
+		Phase: r.Phase, Reconfigured: c.reconfigured,
+	}
+	b := Boundary{Epoch: c.epochs, Result: r, Pinned: true}
+	clean, dropped := c.observe(b, &log)
+	c.epochs++
+	c.decide(m, b, clean, dropped)
+	return log
+}
+
+// observe classifies the epoch into its log and the report — injected
+// faults, sanitizer repairs, lost telemetry, and degradation or co-tenant
+// interference — then records the epoch with the observer. It returns the
+// sanitized telemetry and whether it was lost.
+func (c *ResilientController) observe(b Boundary, log *EpochLog) (sim.Counters, bool) {
+	i, r := b.Epoch, b.Result
+	log.Fallback = c.inFallback
+	c.reconfigured = false
+
+	// Telemetry path: inject, maybe drop, sanitize.
+	telemetry, dropped := r.Counters, false
+	if c.Inject != nil {
+		// PerturbTelemetry always runs so stateful faults stay in step.
+		telemetry, _ = c.Inject.PerturbTelemetry(i, r.Counters)
+		dropped = c.Inject.DropTelemetry(i)
+	}
+	clean, repairs := SanitizeCounters(telemetry)
+	log.Repairs = repairs
+	log.TelemetryDropped = dropped
+	c.report.Repairs += repairs
+	if dropped {
+		c.report.DroppedTelemetry++
+	}
+
+	// Watchdog: an over-threshold epoch right after a tenant switch is the
+	// co-tenant's cold-cache bill, not a fault — classify it, keep the
+	// streak and baseline untouched, and let the model re-predict.
+	// Otherwise classify the cost against the trailing baseline. Fallback
+	// epochs feed the baseline too — they run the safe config, which is
+	// exactly what "healthy" means here.
+	cost := epochCost(r.Metrics)
+	if base := c.wd.baseline(); c.switchPending && base > 0 && cost > c.Opts.DegradeFactor*base {
+		log.Interference = true
+		c.report.InterferenceEpochs++
+		c.Obs.event("interference", map[string]string{"epoch": fmt.Sprintf("%d", i)})
+	} else if log.Degraded = c.wd.observe(cost, c.Opts.DegradeFactor, c.Opts.WatchdogWindow); log.Degraded {
+		c.report.DegradedEpochs++
+	}
+	c.switchPending = false
+	if c.inFallback {
+		c.report.FallbackEpochs++
+	}
+	c.Obs.epoch(i, *log)
+	return clean, dropped
+}
+
+// decide performs the boundary decision after the epoch: watchdog trips
+// and cooldown bookkeeping, or a validated model prediction filtered
+// through the reconfiguration-cost policy, then a verified (and retried)
+// reconfiguration.
+func (c *ResilientController) decide(m *sim.Machine, b Boundary, clean sim.Counters, dropped bool) {
 	// Fallback regime: hold the safe config through the cooldown, then
 	// re-arm the model.
-	if st.inFallback {
-		if !st.wd.Permanent {
-			st.wd.Cooldown--
-			if st.wd.Cooldown <= 0 {
-				st.inFallback = false
-				st.wd.Streak = 0
+	if c.inFallback {
+		if !c.wd.Permanent {
+			c.wd.Cooldown--
+			if c.wd.Cooldown <= 0 {
+				c.inFallback = false
+				c.wd.Streak = 0
 				c.Obs.event("fallback-exit", nil)
 				return // re-armed; model resumes next boundary
 			}
 		}
 		if m.Config() != c.Opts.Fallback {
-			c.applyTarget(m, st, i, c.Opts.Fallback)
+			c.applyTarget(m, b.Epoch, c.Opts.Fallback)
 		}
 		return
 	}
 
 	// Watchdog trip: K consecutive degraded epochs retire the model to the
 	// fallback config, permanently once the trip budget is spent.
-	if st.wd.Streak >= c.Opts.DegradeEpochs {
-		st.wd.Trips++
-		rep.Fallbacks++
-		st.wd.Streak = 0
-		st.wd.Cooldown = c.Opts.CooldownEpochs
-		if st.wd.Trips >= c.Opts.MaxTrips {
-			st.wd.Permanent = true
-			rep.PermanentFallback = true
+	if c.wd.Streak >= c.Opts.DegradeEpochs {
+		c.wd.Trips++
+		c.report.Fallbacks++
+		c.wd.Streak = 0
+		c.wd.Cooldown = c.Opts.CooldownEpochs
+		if c.wd.Trips >= c.Opts.MaxTrips {
+			c.wd.Permanent = true
+			c.report.PermanentFallback = true
 		}
-		st.inFallback = true
+		c.inFallback = true
 		c.Obs.event("watchdog-trip", map[string]string{
-			"trips":     fmt.Sprintf("%d", st.wd.Trips),
-			"permanent": fmt.Sprintf("%v", st.wd.Permanent),
+			"trips":     fmt.Sprintf("%d", c.wd.Trips),
+			"permanent": fmt.Sprintf("%v", c.wd.Permanent),
 		})
-		c.applyTarget(m, st, i, c.Opts.Fallback)
+		c.applyTarget(m, b.Epoch, c.Opts.Fallback)
 		return
 	}
 
-	// Normal model-driven path. Lost telemetry → no decision, hold config.
-	if dropped {
+	// Normal model-driven path. Lost telemetry, or no model (watchdog-only
+	// control): no decision, hold the configuration.
+	if dropped || c.Model == nil {
 		return
 	}
 	pred := c.Model.Predict(m.Config(), clean)
 	if c.Inject != nil {
-		pred, _ = c.Inject.PerturbPrediction(i, pred)
+		pred, _ = c.Inject.PerturbPrediction(b.Epoch, pred)
 	}
 	if !ValidatePrediction(m.Config(), pred) {
-		rep.RejectedPredictions++
+		c.report.RejectedPredictions++
 		// Raw level indices, not pred.String(): the rejection means the
 		// levels are out of range, which String would panic on.
 		c.Obs.event("rejected-prediction", map[string]string{"pred": fmt.Sprintf("%v", [config.NumParams]int(pred))})
 		return
 	}
-	// Single bound trace: the algorithm axes cannot move (see RunContext).
-	for _, p := range []config.Param{config.Dataflow, config.Format, config.SchedPolicy} {
-		pred[p] = m.Config()[p]
-	}
-	next := inner.filter(m, pred, r.Metrics.TimeSec, r.DirtyL1, r.DirtyL2, m.TraceNNZ())
+	inner := Controller{Model: c.Model, Opts: c.Opts.Options}
+	pred, next := inner.choose(m, pred, b)
 	c.Obs.decision(pred, next)
 	if next != m.Config() {
-		c.applyTarget(m, st, i, next)
+		c.applyTarget(m, b.Epoch, next)
 	}
 }
 
 // applyTarget reconfigures toward target with verification and retry,
-// updating the run state and report.
-func (c *ResilientController) applyTarget(m *sim.Machine, st *runState, epoch int, target config.Config) {
+// updating the control state and report.
+func (c *ResilientController) applyTarget(m *sim.Machine, epoch int, target config.Config) {
 	from := m.Config()
 	ok, retries, cost := c.attemptReconfig(m, epoch, target)
-	st.res.Resilience.ReconfigRetries += retries
+	c.report.ReconfigRetries += retries
 	if ok {
-		st.res.Reconfig++
-		st.reconfigured = true
+		c.reconfigured = true
 		c.Obs.reconfig(from, target, cost)
 	} else {
-		st.res.Resilience.ReconfigFailures++
+		c.report.ReconfigFailures++
 		c.Obs.event("reconfig-failure", map[string]string{"target": target.String()})
 	}
 }

@@ -24,7 +24,7 @@ func TestStepperInterferenceVsFault(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	tr := obs.NewTraceRecorder()
-	s := NewResilientStepper(nil, DefaultResilientOptions())
+	s := NewResilientController(nil, DefaultResilientOptions())
 	s.Obs = NewObserver(reg, tr)
 	s.Obs.Tenant = "tenant-a"
 
@@ -112,7 +112,7 @@ func TestStepperSwitchWithoutShiftIsClean(t *testing.T) {
 	m.BindTrace(w.Trace)
 	eps := w.Epochs(0.1)
 
-	s := NewResilientStepper(nil, DefaultResilientOptions())
+	s := NewResilientController(nil, DefaultResilientOptions())
 	for i := 0; i < 10 && i < len(eps); i++ {
 		if i == 5 {
 			s.NoteSwitch()

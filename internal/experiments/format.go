@@ -1,15 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"sparseadapt/internal/config"
+	"sparseadapt/internal/core"
+	"sparseadapt/internal/kernels"
 	"sparseadapt/internal/matrix"
 	"sparseadapt/internal/power"
 	"sparseadapt/internal/sim"
-
-	"sparseadapt/internal/kernels"
 )
 
 func init() {
@@ -35,24 +36,24 @@ func FormatSwitch(sc Scale) (*Report, error) {
 	for _, density := range []float64{0.005, 0.02, 0.08} {
 		am := matrix.UniformDensity(rng, dim, dim, density)
 		src := kernels.NewSpMSpMSource(fmt.Sprintf("fmt-d%.3f", density), am.ToCSC(), am.ToCSR(), sc.Chip.NGPE(), sc.Chip.Tiles)
-		nEpochs, _, err := src.GridEpochs(sc.Epoch)
+		_, eps, err := src.Grid(config.Baseline, sc.Epoch)
 		if err != nil {
 			return nil, err
 		}
 		cfgCSR := config.Baseline
 		cfgCSR[config.Format] = config.FmtCSR
 
-		stay, _, err := runFormatSchedule(sc, src, nEpochs, cfgCSR, -1, config.Baseline)
+		stay, _, err := runFormatSchedule(sc, src, cfgCSR, -1, config.Baseline)
 		if err != nil {
 			return nil, err
 		}
 		// Convert a third of the way in: enough wrong-format epochs to make
 		// the overlay cost visible, enough remaining run to amortize.
-		conv, convCycles, err := runFormatSchedule(sc, src, nEpochs, cfgCSR, nEpochs/3, config.Baseline)
+		conv, convCycles, err := runFormatSchedule(sc, src, cfgCSR, len(eps)/3, config.Baseline)
 		if err != nil {
 			return nil, err
 		}
-		natural, _, err := runFormatSchedule(sc, src, nEpochs, config.Baseline, -1, config.Baseline)
+		natural, _, err := runFormatSchedule(sc, src, config.Baseline, -1, config.Baseline)
 		if err != nil {
 			return nil, err
 		}
@@ -61,40 +62,38 @@ func FormatSwitch(sc Scale) (*Report, error) {
 			convCycles/1e3, ratio(conv.TimeSec, stay.TimeSec))
 	}
 	rep.Note("switch/stay < 1: paying the conversion + flush beats running on in the wrong format")
+	// The printed text is pinned by the paper-suite output digest; it names
+	// the widened-space controller entry point as it was when pinned.
 	rep.Note("the controller's Format axis makes this trade at runtime (see internal/core.RunSource)")
 	return rep, nil
 }
 
-// runFormatSchedule executes the source for nEpochs on its work-aligned
-// grid, starting in cfg and — when switchAt >= 0 — reconfiguring to
-// target at that epoch boundary (rebinding onto the target variant's
-// trace). It returns the total metrics and the conversion cycles charged.
-func runFormatSchedule(sc Scale, src *kernels.Source, nEpochs int, cfg config.Config, switchAt int, target config.Config) (power.Metrics, float64, error) {
-	w, err := src.Variant(cfg)
+// formatSwitch holds the start configuration and, at boundary at,
+// reconfigures to target (Drive rebinds onto the target variant's trace),
+// summing the conversion cycles charged. at < 0 never switches.
+type formatSwitch struct {
+	at     int
+	target config.Config
+	conv   float64
+}
+
+func (f *formatSwitch) Step(m *sim.Machine, b core.Boundary) (bool, bool, error) {
+	if b.Epoch != f.at || m.Config() == f.target {
+		return false, false, nil
+	}
+	rc, err := m.Reconfigure(f.target)
 	if err != nil {
-		return power.Metrics{}, 0, err
+		return false, false, err
 	}
-	m := sim.New(sc.Chip, sc.BW, cfg)
-	m.BindTrace(w.Trace)
-	eps := w.Trace.EpochsN(nEpochs)
-	var tot power.Metrics
-	conv := 0.0
-	for i := 0; i < nEpochs && i < len(eps); i++ {
-		r := m.RunEpoch(eps[i])
-		tot.Add(r.Metrics)
-		if switchAt >= 0 && i == switchAt && m.Config() != target {
-			rc, err := m.Reconfigure(target)
-			if err != nil {
-				return power.Metrics{}, 0, err
-			}
-			conv += rc.ConvCycles
-			w, err = src.Variant(target)
-			if err != nil {
-				return power.Metrics{}, 0, err
-			}
-			m.BindTrace(w.Trace)
-			eps = w.Trace.EpochsN(nEpochs)
-		}
-	}
-	return tot, conv, nil
+	f.conv += rc.ConvCycles
+	return true, false, nil
+}
+
+// runFormatSchedule executes the source on its work-aligned grid, starting
+// in cfg and — when switchAt >= 0 — reconfiguring to target at that epoch
+// boundary. It returns the total metrics and the conversion cycles charged.
+func runFormatSchedule(sc Scale, src *kernels.Source, cfg config.Config, switchAt int, target config.Config) (power.Metrics, float64, error) {
+	sw := &formatSwitch{at: switchAt, target: target}
+	res, err := core.Drive(context.Background(), sim.New(sc.Chip, sc.BW, cfg), src, sc.Epoch, sw)
+	return res.Total, sw.conv, err
 }

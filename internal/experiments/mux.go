@@ -84,7 +84,7 @@ func Mux(sc Scale) (*Report, error) {
 				return j, err
 			}
 		}
-		j.Control = core.NewResilientStepper(model, core.DefaultResilientOptions())
+		j.Control = core.NewResilientController(model, core.DefaultResilientOptions())
 		return j, nil
 	}
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sparseadapt/internal/config"
-	"sparseadapt/internal/engine"
 	"sparseadapt/internal/kernels"
 	"sparseadapt/internal/matrix"
 	"sparseadapt/internal/power"
@@ -46,7 +45,7 @@ func TestLinkTransfer(t *testing.T) {
 func TestRunStaticAddsTransfers(t *testing.T) {
 	off := makeOffload(t, 128, 1200)
 	r := NewRunner(chip, sim.DefaultBandwidth, 0.05)
-	res, err := r.RunStatic(config.Baseline, off)
+	res, _, err := r.RunStaticFull(context.Background(), config.Baseline, off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +65,11 @@ func TestRunStaticAddsTransfers(t *testing.T) {
 
 func TestSmallOffloadIsTransferDominated(t *testing.T) {
 	r := NewRunner(chip, sim.DefaultBandwidth, 0.05)
-	small, err := r.RunStatic(config.Baseline, makeOffload(t, 32, 64))
+	small, _, err := r.RunStaticFull(context.Background(), config.Baseline, makeOffload(t, 32, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := r.RunStatic(config.Baseline, makeOffload(t, 512, 10000))
+	big, _, err := r.RunStaticFull(context.Background(), config.Baseline, makeOffload(t, 512, 10000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestSmallOffloadIsTransferDominated(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	r := NewRunner(chip, sim.DefaultBandwidth, 1)
-	if _, err := r.RunStatic(config.Baseline, Offload{}); err == nil {
+	if _, _, err := r.RunStaticFull(context.Background(), config.Baseline, Offload{}); err == nil {
 		t.Fatal("empty offload accepted")
 	}
 }
@@ -103,34 +102,5 @@ func TestBreakEven(t *testing.T) {
 func TestInputBytes(t *testing.T) {
 	if got := InputBytes(100, 50); got != 100*12+51*4 {
 		t.Fatalf("InputBytes = %d", got)
-	}
-}
-
-func TestRunBatchStaticMatchesSerial(t *testing.T) {
-	r := NewRunner(chip, sim.DefaultBandwidth, 0.05)
-	offs := []Offload{
-		makeOffload(t, 64, 300),
-		makeOffload(t, 128, 1200),
-		makeOffload(t, 96, 800),
-	}
-	want := make([]Result, len(offs))
-	for i, off := range offs {
-		res, err := r.RunStatic(config.Baseline, off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res
-	}
-	for _, workers := range []int{1, 4} {
-		eng := engine.New(engine.Options{Workers: workers})
-		got, err := r.RunBatchStatic(context.Background(), eng, config.Baseline, offs)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: batch result %d differs from serial RunStatic", workers, i)
-			}
-		}
 	}
 }

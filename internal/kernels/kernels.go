@@ -72,13 +72,6 @@ func (w Workload) Epochs(scale float64) []sim.EpochRange {
 	return w.Trace.Epochs(n)
 }
 
-// EpochsN segments the workload's trace into exactly n epochs at equal
-// FP-op quantiles (see sim.Trace.EpochsN) — the grid used to align epochs
-// across dataflow/format variants of the same kernel.
-func (w Workload) EpochsN(n int) []sim.EpochRange {
-	return w.Trace.EpochsN(n)
-}
-
 // fmtOverlay models the extra index traffic of consuming the A operand
 // through a storage format other than the dataflow's natural orientation:
 // the opposite compressed format costs one extra index load per element

@@ -56,7 +56,7 @@ func TestOracleMatchesBruteForce(t *testing.T) {
 	for len(w.Epochs(epochScale)) > 7 {
 		epochScale *= 2
 	}
-	rec, err := Record(chip, sim.DefaultBandwidth, w, epochScale, cfgs)
+	rec, err := RecordSource(chip, sim.DefaultBandwidth, kernels.Fixed(w), epochScale, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestOraclePowerPerfNearBruteForce(t *testing.T) {
 	for len(w.Epochs(epochScale)) > 6 {
 		epochScale *= 2
 	}
-	rec, err := Record(chip, sim.DefaultBandwidth, w, epochScale, cfgs)
+	rec, err := RecordSource(chip, sim.DefaultBandwidth, kernels.Fixed(w), epochScale, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}

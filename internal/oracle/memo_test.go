@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sparseadapt/internal/engine"
+	"sparseadapt/internal/kernels"
 	"sparseadapt/internal/sim"
 )
 
@@ -17,7 +18,7 @@ import (
 // concurrent memo access from the 4-worker pool.
 func TestRecordEngineMemoByteIdentical(t *testing.T) {
 	w, cfgs := recordWorkload(t)
-	ref, err := Record(chip, sim.DefaultBandwidth, w, 0.05, cfgs)
+	ref, err := RecordSource(chip, sim.DefaultBandwidth, kernels.Fixed(w), 0.05, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestRecordEngineMemoByteIdentical(t *testing.T) {
 	memo := sim.NewRunMemo(0)
 	for pass := 0; pass < 2; pass++ {
 		eng := engine.New(engine.Options{Workers: 4})
-		rec, err := RecordEngineMemo(context.Background(), eng, memo, chip, sim.DefaultBandwidth, w, 0.05, cfgs)
+		rec, err := RecordSourceEngine(context.Background(), eng, memo, chip, sim.DefaultBandwidth, kernels.Fixed(w), 0.05, cfgs)
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
@@ -61,7 +62,7 @@ func TestEngineParallelSpeedup(t *testing.T) {
 		t.Helper()
 		eng := engine.New(engine.Options{Workers: workers})
 		start := time.Now()
-		if _, err := RecordEngine(context.Background(), eng, chip, sim.DefaultBandwidth, w, 0.05, cfgs); err != nil {
+		if _, err := RecordSourceEngine(context.Background(), eng, nil, chip, sim.DefaultBandwidth, kernels.Fixed(w), 0.05, cfgs); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

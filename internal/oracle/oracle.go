@@ -46,50 +46,38 @@ type Recording struct {
 	Grid [][]EpochRecord
 }
 
-// Record simulates the workload end-to-end under each configuration
-// (Appendix A.7 uses S = 256 random samples; callers pick the sample). The
-// provided configurations should share one L1 type. It runs serially; use
-// RecordEngine to spread the per-configuration simulations across workers.
-func Record(chip power.Chip, bw float64, w kernels.Workload, epochScale float64, cfgs []config.Config) (*Recording, error) {
-	return RecordEngine(context.Background(), nil, chip, bw, w, epochScale, cfgs)
+// RecordSource builds the recording serially and uncached; see
+// RecordSourceEngine.
+func RecordSource(chip power.Chip, bw float64, src *kernels.Source, epochScale float64, cfgs []config.Config) (*Recording, error) {
+	return RecordSourceEngine(context.Background(), nil, nil, chip, bw, src, epochScale, cfgs)
 }
 
-// RecordEngine builds the recording with each configuration's end-to-end
-// simulation as one engine task. Rows are independent — every task gets a
-// fresh machine over the shared read-only trace — and the grid is assembled
-// in configuration order, so the recording is byte-identical at any worker
-// count. Rows are content-addressed by (trace fingerprint, epoching, chip,
-// bandwidth, configuration), so a warm cache skips re-simulating
-// configurations seen in earlier runs. A nil eng runs serially uncached.
-func RecordEngine(ctx context.Context, eng *engine.Engine, chip power.Chip, bw float64, w kernels.Workload, epochScale float64, cfgs []config.Config) (*Recording, error) {
-	return RecordEngineMemo(ctx, eng, nil, chip, bw, w, epochScale, cfgs)
-}
-
-// RecordEngineMemo is RecordEngine with an optional in-process replay memo
-// (sim.RunMemo): rows whose (trace, chip, bandwidth, config, epoching) key
-// was already replayed this process — by an earlier recording, a trainer
-// sweep or another experiment mode — are served from memory without
-// re-simulating, and are byte-identical to a cold replay. A nil memo is
-// exactly RecordEngine. The engine result cache still operates underneath
-// for cross-process reuse.
-func RecordEngineMemo(ctx context.Context, eng *engine.Engine, memo *sim.RunMemo, chip power.Chip, bw float64, w kernels.Workload, epochScale float64, cfgs []config.Config) (*Recording, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("oracle: no configurations to record")
+// RecordSourceEngine simulates the source end to end under each
+// configuration (Appendix A.7 uses S = 256 random samples; callers pick
+// the sample, which should share one L1 type). Every configuration replays
+// the variant it selects on that variant's epoch grid
+// (kernels.Source.Grid): a kernels.Fixed source replays its one trace
+// under every configuration, while a multi-variant source replays each
+// dataflow × format × scheduling variant on its work-aligned grid, so rows
+// stitch cell for cell although the traces differ.
+//
+// Each row is one engine task on a fresh machine over a shared read-only
+// trace, and the grid is assembled in configuration order, so the
+// recording is byte-identical at any worker count. Rows are
+// content-addressed (rowKey), so a warm cache skips configurations seen in
+// earlier runs, and memo (sim.RunMemo) serves replays already run in this
+// process. A nil eng runs serially uncached; a nil memo disables
+// in-process replay reuse.
+func RecordSourceEngine(ctx context.Context, eng *engine.Engine, memo *sim.RunMemo, chip power.Chip, bw float64, src *kernels.Source, epochScale float64, cfgs []config.Config) (*Recording, error) {
+	rec, rows, err := plan(chip, bw, src, epochScale, cfgs)
+	if err != nil {
+		return nil, err
 	}
-	rec := &Recording{Chip: chip, BW: bw, Configs: cfgs, Epochs: w.Epochs(epochScale), NNZ: w.Trace.NNZ}
-	if len(rec.Epochs) == 0 {
-		return nil, fmt.Errorf("oracle: workload has no epochs")
-	}
-	fp := w.Trace.Fingerprint()
 	tasks := make([]engine.Task[[]EpochRecord], len(cfgs))
 	for s, cfg := range cfgs {
-		cfg := cfg
-		key := engine.NewHasher("sparseadapt/oracle-row/v1").
-			U64(fp).Int(w.EpochFPOps).F64(epochScale).
-			Int(chip.Tiles, chip.GPEsPerTile).F64(bw).
-			Int(cfg.Index()).Sum()
-		tasks[s] = engine.Task[[]EpochRecord]{Key: key, Compute: func(ctx context.Context) ([]EpochRecord, error) {
-			return replayRow(ctx, memo, chip, bw, cfg, w.Trace, rec.Epochs)
+		cfg, r := cfg, rows[s]
+		tasks[s] = engine.Task[[]EpochRecord]{Key: r.key, Compute: func(ctx context.Context) ([]EpochRecord, error) {
+			return replayRow(ctx, memo, chip, bw, cfg, r.trace, r.eps)
 		}}
 	}
 	grid, err := engine.Map(ctx, eng, tasks)
@@ -98,6 +86,63 @@ func RecordEngineMemo(ctx context.Context, eng *engine.Engine, memo *sim.RunMemo
 	}
 	rec.Grid = grid
 	return rec, nil
+}
+
+// row is one configuration's replay: the variant trace, the epoch grid it
+// is cut into, and the row's content key.
+type row struct {
+	trace *sim.Trace
+	eps   []sim.EpochRange
+	grid  uint64 // sim.EpochsHash(eps)
+	key   engine.Key
+}
+
+// plan resolves every configuration's variant and epoch grid up front (the
+// Source caches variants, the trace its grids and fingerprint), so tasks
+// only replay and a build error surfaces before any simulation runs. Each
+// variant's grid is cut and hashed once, not once per configuration.
+func plan(chip power.Chip, bw float64, src *kernels.Source, epochScale float64, cfgs []config.Config) (*Recording, []row, error) {
+	if len(cfgs) == 0 {
+		return nil, nil, fmt.Errorf("oracle: no configurations to record")
+	}
+	nat, eps, err := src.Grid(config.Baseline, epochScale)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(eps) == 0 {
+		return nil, nil, fmt.Errorf("oracle: source %s has no epochs", src.Name())
+	}
+	rec := &Recording{Chip: chip, BW: bw, Configs: cfgs, Epochs: eps, NNZ: nat.Trace.NNZ}
+	variants := map[kernels.AlgoKey]row{}
+	rows := make([]row, len(cfgs))
+	for s, cfg := range cfgs {
+		v, ok := variants[src.Key(kernels.AlgoOf(cfg))]
+		if !ok {
+			w, eps, err := src.Grid(cfg, epochScale)
+			if err != nil {
+				return nil, nil, err
+			}
+			if len(eps) != len(rec.Epochs) {
+				return nil, nil, fmt.Errorf("oracle: variant %s splits into %d epochs, grid has %d", w.Name, len(eps), len(rec.Epochs))
+			}
+			v = row{trace: w.Trace, eps: eps, grid: sim.EpochsHash(eps)}
+			variants[src.Key(kernels.AlgoOf(cfg))] = v
+		}
+		v.key = rowKey(v.trace, v.grid, chip, bw, cfg)
+		rows[s] = v
+	}
+	return rec, rows, nil
+}
+
+// rowKey content-addresses one recording row by everything its replay is
+// a pure function of: the trace's content, the exact epoch grid (hashed
+// as sim.RunMemo keys hash it), the chip, the bandwidth and the
+// configuration.
+func rowKey(tr *sim.Trace, grid uint64, chip power.Chip, bw float64, cfg config.Config) engine.Key {
+	return engine.NewHasher("sparseadapt/oracle-row/v2").
+		U64(tr.Fingerprint()).U64(grid).
+		Int(chip.Tiles, chip.GPEsPerTile).F64(bw).
+		Int(cfg.Index()).Sum()
 }
 
 // replayRow replays eps of tr under cfg and keeps what stitching needs.
@@ -106,68 +151,11 @@ func replayRow(ctx context.Context, memo *sim.RunMemo, chip power.Chip, bw float
 	if err != nil {
 		return nil, err
 	}
-	row := make([]EpochRecord, len(rs))
+	out := make([]EpochRecord, len(rs))
 	for e, r := range rs {
-		row[e] = EpochRecord{Metrics: r.Metrics, DirtyL1: r.DirtyL1, DirtyL2: r.DirtyL2}
+		out[e] = EpochRecord{Metrics: r.Metrics, DirtyL1: r.DirtyL1, DirtyL2: r.DirtyL2}
 	}
-	return row, nil
-}
-
-// RecordSource builds the recording over the widened action space: each
-// sampled configuration is simulated on the trace of its own kernel
-// variant (dataflow × format × scheduling), split into the same number of
-// work-aligned epochs as the natural variant (sim.Trace.EpochsN) so rows
-// stitch cell-for-cell even though the underlying traces differ. It runs
-// serially; RecordSourceEngine spreads rows across workers.
-func RecordSource(chip power.Chip, bw float64, src *kernels.Source, epochScale float64, cfgs []config.Config) (*Recording, error) {
-	return RecordSourceEngine(context.Background(), nil, nil, chip, bw, src, epochScale, cfgs)
-}
-
-// RecordSourceEngine is the engine-parallel, memoizable form of
-// RecordSource. Rows are content-addressed by (variant trace fingerprint,
-// epoch grid, chip, bandwidth, configuration), so variants shared by many
-// configurations are traced once (the Source caches builds) and replayed
-// per configuration, byte-identical at any worker count. A nil eng runs
-// serially uncached; a nil memo disables in-process replay reuse.
-func RecordSourceEngine(ctx context.Context, eng *engine.Engine, memo *sim.RunMemo, chip power.Chip, bw float64, src *kernels.Source, epochScale float64, cfgs []config.Config) (*Recording, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("oracle: no configurations to record")
-	}
-	nEpochs, nat, err := src.GridEpochs(epochScale)
-	if err != nil {
-		return nil, err
-	}
-	if nEpochs == 0 {
-		return nil, fmt.Errorf("oracle: source %s has no epochs", src.Name())
-	}
-	rec := &Recording{Chip: chip, BW: bw, Configs: cfgs, Epochs: nat.Trace.EpochsN(nEpochs), NNZ: nat.Trace.NNZ}
-	// Resolve every variant and its epoch grid up front (the Source caches
-	// variants, the trace caches its grid and fingerprint) so tasks only
-	// replay, and so a build error surfaces before any simulation runs.
-	tasks := make([]engine.Task[[]EpochRecord], len(cfgs))
-	for s, cfg := range cfgs {
-		w, err := src.Variant(cfg)
-		if err != nil {
-			return nil, err
-		}
-		eps := w.Trace.EpochsN(nEpochs)
-		if len(eps) != nEpochs {
-			return nil, fmt.Errorf("oracle: variant %s splits into %d epochs, grid has %d", w.Name, len(eps), nEpochs)
-		}
-		key := engine.NewHasher("sparseadapt/oracle-srcrow/v1").
-			U64(w.Trace.Fingerprint()).Int(nEpochs).F64(epochScale).
-			Int(chip.Tiles, chip.GPEsPerTile).F64(bw).
-			Int(cfg.Index()).Sum()
-		tasks[s] = engine.Task[[]EpochRecord]{Key: key, Compute: func(ctx context.Context) ([]EpochRecord, error) {
-			return replayRow(ctx, memo, chip, bw, cfg, w.Trace, eps)
-		}}
-	}
-	grid, err := engine.Map(ctx, eng, tasks)
-	if err != nil {
-		return nil, err
-	}
-	rec.Grid = grid
-	return rec, nil
+	return out, nil
 }
 
 // SampleConfigs draws the S-config sample for a recording, always including

@@ -43,7 +43,7 @@ func marshal(t *testing.T, rec *Recording) []byte {
 // content-addressed cache. Run under -race in CI.
 func TestRecordDeterministicAcrossWorkers(t *testing.T) {
 	w, cfgs := recordWorkload(t)
-	ref, err := Record(chip, sim.DefaultBandwidth, w, 0.05, cfgs)
+	ref, err := RecordSource(chip, sim.DefaultBandwidth, kernels.Fixed(w), 0.05, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRecordDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 8} {
 		eng := engine.New(engine.Options{Workers: workers, Cache: cache})
-		rec, err := RecordEngine(context.Background(), eng, chip, sim.DefaultBandwidth, w, 0.05, cfgs)
+		rec, err := RecordSourceEngine(context.Background(), eng, nil, chip, sim.DefaultBandwidth, kernels.Fixed(w), 0.05, cfgs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -86,7 +86,7 @@ func TestRecordCachedAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1 := engine.New(engine.Options{Workers: 4, Cache: c1})
-	rec1, err := RecordEngine(context.Background(), e1, chip, sim.DefaultBandwidth, w, 0.05, cfgs)
+	rec1, err := RecordSourceEngine(context.Background(), e1, nil, chip, sim.DefaultBandwidth, kernels.Fixed(w), 0.05, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRecordCachedAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2 := engine.New(engine.Options{Workers: 4, Cache: c2})
-	rec2, err := RecordEngine(context.Background(), e2, chip, sim.DefaultBandwidth, w, 0.05, cfgs)
+	rec2, err := RecordSourceEngine(context.Background(), e2, nil, chip, sim.DefaultBandwidth, kernels.Fixed(w), 0.05, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRecordEngineCancel(t *testing.T) {
 	w, cfgs := recordWorkload(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RecordEngine(ctx, engine.New(engine.Options{Workers: 2}), chip, sim.DefaultBandwidth, w, 0.05, cfgs); err == nil {
+	if _, err := RecordSourceEngine(ctx, engine.New(engine.Options{Workers: 2}), nil, chip, sim.DefaultBandwidth, kernels.Fixed(w), 0.05, cfgs); err == nil {
 		t.Fatal("cancelled recording returned nil error")
 	}
 }

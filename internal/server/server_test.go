@@ -130,12 +130,12 @@ func TestJobLifecycleMatchesHost(t *testing.T) {
 	}
 	opts := core.Options{Policy: core.Hybrid, Tolerance: 0.4, EpochScale: sc.Epoch}
 	r := host.NewRunner(sc.Chip, sc.BW, sc.Epoch)
-	want, err := r.RunAdaptive(model, opts, config.Baseline, off)
+	want, _, err := r.RunAdaptiveFull(context.Background(), model, opts, config.Baseline, off)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if final.Result.Host != want {
-		t.Errorf("server result differs from host.RunAdaptive:\n got %+v\nwant %+v", final.Result.Host, want)
+		t.Errorf("server result differs from host.RunAdaptiveFull:\n got %+v\nwant %+v", final.Result.Host, want)
 	}
 }
 

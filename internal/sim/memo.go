@@ -24,11 +24,11 @@ type runKey struct {
 	epsHash  uint64
 }
 
-// epochsHash fingerprints an epoch-range slice with FNV-1a over the range
+// EpochsHash fingerprints an epoch-range slice with FNV-1a over the range
 // boundaries and phase labels (FPOps is derived from the trace and the
 // boundaries, but is mixed in anyway so a changed segmentation policy can
 // never alias).
-func epochsHash(eps []EpochRange) uint64 {
+func EpochsHash(eps []EpochRange) uint64 {
 	const (
 		offset64 = 1469598103934665603
 		prime64  = 1099511628211
@@ -168,7 +168,7 @@ func RunEpochs(ctx context.Context, memo *RunMemo, chip power.Chip, bw float64, 
 			gpt:      chip.GPEsPerTile,
 			bwBits:   math.Float64bits(bw),
 			cfgIndex: cfg.Index(),
-			epsHash:  epochsHash(eps),
+			epsHash:  EpochsHash(eps),
 		}
 		if row, ok := memo.get(key); ok {
 			return row, nil

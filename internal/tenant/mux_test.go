@@ -242,7 +242,7 @@ func TestMuxInterferenceClassifiedNoFallback(t *testing.T) {
 	// Working set of 16 lines: one epoch's walk re-touches all of it, so
 	// exactly the first epoch after each resume runs cold.
 	hot := job("hot", Interactive, reuseTrace(1024, 2500), config.Baseline, 100)
-	hot.Control = core.NewResilientStepper(nil, opts)
+	hot.Control = core.NewResilientController(nil, opts)
 	noisy := job("noisy", Batch, streamTrace(1500), config.Baseline, 100)
 
 	x := New(chip, sim.DefaultBandwidth, Options{Quantum: 8, Flat: true})

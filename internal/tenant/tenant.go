@@ -101,7 +101,7 @@ type Job struct {
 	// feeds it every epoch and reports tenant-switch boundaries so
 	// switch-coincident telemetry shifts classify as interference. A nil
 	// Control holds Start for the whole run.
-	Control *core.ResilientStepper
+	Control *core.ResilientController
 }
 
 func (j Job) validate() error {

@@ -224,7 +224,7 @@ func GenerateEngine(ctx context.Context, eng *engine.Engine, sw SweepSpec, mode 
 			if err != nil {
 				return nil, err
 			}
-			if _, err := src.Natural(); err != nil {
+			if _, err := src.Variant(config.Baseline); err != nil {
 				return nil, err
 			}
 			return src, nil
@@ -253,7 +253,7 @@ func GenerateEngine(ctx context.Context, eng *engine.Engine, sw SweepSpec, mode 
 	for i, pt := range pts {
 		pt := pt
 		src := byInput[input{pt.di, pt.fi}]
-		nat, err := src.Natural() // cached: traced by the phase-1 task
+		nat, err := src.Variant(config.Baseline) // cached: traced by the phase-1 task
 		if err != nil {
 			return nil, err
 		}

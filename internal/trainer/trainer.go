@@ -36,7 +36,6 @@ type Eval struct {
 type Evaluator struct {
 	Chip       power.Chip
 	BW         float64
-	Workload   kernels.Workload
 	EpochScale float64
 	Warmup     int
 	Measure    int
@@ -56,16 +55,12 @@ type Evaluator struct {
 	// byte-identical results.
 	Memo *sim.RunMemo
 
-	phases     []string
-	epsByPhase map[string][]sim.EpochRange
-	cache      map[cacheKey]Eval
-
-	// Source-aware mode (NewSourceEvaluator): each configuration is
-	// measured on its own kernel variant's trace, with phases mapped by
-	// epoch index on the natural variant's work-aligned grid.
+	// Each configuration is measured on its own kernel variant's trace,
+	// with phases mapped by epoch index on the source's epoch grid.
 	src       *kernels.Source
-	nEpochs   int
+	phases    []string
 	phaseIdxs map[string][]int
+	cache     map[cacheKey]Eval
 }
 
 type cacheKey struct {
@@ -73,51 +68,33 @@ type cacheKey struct {
 	phase  string
 }
 
-// NewEvaluator prepares an evaluator for one workload.
-func NewEvaluator(chip power.Chip, bw float64, w kernels.Workload, epochScale float64, warmup, measure int) *Evaluator {
+// NewSourceEvaluator prepares an evaluator over the source's action space:
+// each configuration is measured on the trace of the variant it selects
+// (dataflow × format × scheduling), on that variant's epoch grid
+// (kernels.Source.Grid). Phases are named and ordered by the natural
+// variant's grid, and a phase covers the same epoch indices — the same
+// fraction of the arithmetic work — under every configuration. A
+// kernels.Fixed source measures every configuration on its one trace.
+func NewSourceEvaluator(chip power.Chip, bw float64, src *kernels.Source, epochScale float64, warmup, measure int) (*Evaluator, error) {
 	if warmup < 0 {
 		warmup = 0
 	}
 	if measure < 1 {
 		measure = 1
 	}
-	ev := &Evaluator{
-		Chip: chip, BW: bw, Workload: w, EpochScale: epochScale,
-		Warmup: warmup, Measure: measure,
-		epsByPhase: map[string][]sim.EpochRange{},
-		cache:      map[cacheKey]Eval{},
-	}
-	for _, ep := range w.Epochs(epochScale) {
-		if _, ok := ev.epsByPhase[ep.Phase]; !ok {
-			ev.phases = append(ev.phases, ep.Phase)
-		}
-		ev.epsByPhase[ep.Phase] = append(ev.epsByPhase[ep.Phase], ep)
-	}
-	return ev
-}
-
-// NewSourceEvaluator prepares an evaluator over the widened action space:
-// each configuration is measured on the trace of its own kernel variant
-// (dataflow × format × scheduling), with phases and the epoch grid
-// anchored to the source's natural variant so a phase covers the same
-// fraction of the arithmetic work in every variant (sim.Trace.EpochsN).
-func NewSourceEvaluator(chip power.Chip, bw float64, src *kernels.Source, epochScale float64, warmup, measure int) (*Evaluator, error) {
-	nat, err := src.Natural()
+	_, eps, err := src.Grid(config.Baseline, epochScale)
 	if err != nil {
 		return nil, err
 	}
-	n := len(nat.Epochs(epochScale))
-	if n == 0 {
+	if len(eps) == 0 {
 		return nil, fmt.Errorf("trainer: source %s has no epochs", src.Name())
 	}
-	ev := NewEvaluator(chip, bw, nat, epochScale, warmup, measure)
-	ev.src = src
-	ev.nEpochs = n
-	ev.phaseIdxs = map[string][]int{}
-	// Phase names and ordering come from the natural variant's aligned
-	// grid, replacing the budget-based grid built by NewEvaluator.
-	ev.phases = nil
-	for i, ep := range nat.Trace.EpochsN(n) {
+	ev := &Evaluator{
+		Chip: chip, BW: bw, EpochScale: epochScale,
+		Warmup: warmup, Measure: measure,
+		src: src, phaseIdxs: map[string][]int{}, cache: map[cacheKey]Eval{},
+	}
+	for i, ep := range eps {
 		if _, ok := ev.phaseIdxs[ep.Phase]; !ok {
 			ev.phases = append(ev.phases, ep.Phase)
 		}
@@ -138,33 +115,22 @@ func (ev *Evaluator) Eval(cfg config.Config, phase string) (Eval, error) {
 	if e, ok := ev.cache[key]; ok {
 		return e, nil
 	}
-	trace := ev.Workload.Trace
+	idxs, ok := ev.phaseIdxs[phase]
+	if !ok {
+		return Eval{}, fmt.Errorf("trainer: unknown phase %q", phase)
+	}
+	w, grid, err := ev.src.Grid(cfg, ev.EpochScale)
+	if err != nil {
+		return Eval{}, err
+	}
 	var eps []sim.EpochRange
-	if ev.src != nil {
-		idxs, ok := ev.phaseIdxs[phase]
-		if !ok {
-			return Eval{}, fmt.Errorf("trainer: unknown phase %q", phase)
+	for _, i := range idxs {
+		if i < len(grid) {
+			eps = append(eps, grid[i])
 		}
-		w, err := ev.src.Variant(cfg)
-		if err != nil {
-			return Eval{}, err
-		}
-		trace = w.Trace
-		veps := trace.EpochsN(ev.nEpochs)
-		for _, i := range idxs {
-			if i < len(veps) {
-				eps = append(eps, veps[i])
-			}
-		}
-		if len(eps) == 0 {
-			return Eval{}, fmt.Errorf("trainer: variant %s has no epochs for phase %q", w.Name, phase)
-		}
-	} else {
-		var ok bool
-		eps, ok = ev.epsByPhase[phase]
-		if !ok {
-			return Eval{}, fmt.Errorf("trainer: unknown phase %q", phase)
-		}
+	}
+	if len(eps) == 0 {
+		return Eval{}, fmt.Errorf("trainer: variant %s has no epochs for phase %q", w.Name, phase)
 	}
 	warm := ev.Warmup
 	if warm >= len(eps) {
@@ -174,7 +140,7 @@ func (ev *Evaluator) Eval(cfg config.Config, phase string) (Eval, error) {
 	if limit > len(eps) {
 		limit = len(eps)
 	}
-	rs, err := sim.RunEpochs(context.Background(), ev.Memo, ev.Chip, ev.BW, cfg, trace, eps[:limit])
+	rs, err := sim.RunEpochs(context.Background(), ev.Memo, ev.Chip, ev.BW, cfg, w.Trace, eps[:limit])
 	if err != nil {
 		return Eval{}, err
 	}

@@ -31,9 +31,19 @@ func smallWorkload(t *testing.T, kernel string, seed int64) kernels.Workload {
 	}
 }
 
+// fixedEvaluator measures every configuration on w's own trace.
+func fixedEvaluator(t *testing.T, w kernels.Workload, epochScale float64) *Evaluator {
+	t.Helper()
+	ev, err := NewSourceEvaluator(chip, sim.DefaultBandwidth, kernels.Fixed(w), epochScale, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
 func TestEvaluatorPhases(t *testing.T) {
 	w := smallWorkload(t, "spmspm", 1)
-	ev := NewEvaluator(chip, sim.DefaultBandwidth, w, 0.05, 1, 2)
+	ev := fixedEvaluator(t, w, 0.05)
 	ph := ev.Phases()
 	if len(ph) != 2 || ph[0] != "multiply" || ph[1] != "merge" {
 		t.Fatalf("phases %v", ph)
@@ -42,7 +52,7 @@ func TestEvaluatorPhases(t *testing.T) {
 
 func TestEvaluatorDeterministicAndCached(t *testing.T) {
 	w := smallWorkload(t, "spmspv", 2)
-	ev := NewEvaluator(chip, sim.DefaultBandwidth, w, 0.1, 1, 2)
+	ev := fixedEvaluator(t, w, 0.1)
 	phase := ev.Phases()[0]
 	a, err := ev.Eval(config.Baseline, phase)
 	if err != nil {
@@ -55,7 +65,7 @@ func TestEvaluatorDeterministicAndCached(t *testing.T) {
 	if a.Metrics != b.Metrics {
 		t.Fatal("cached evaluation differs")
 	}
-	ev2 := NewEvaluator(chip, sim.DefaultBandwidth, w, 0.1, 1, 2)
+	ev2 := fixedEvaluator(t, w, 0.1)
 	c, err := ev2.Eval(config.Baseline, phase)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +80,7 @@ func TestEvaluatorDeterministicAndCached(t *testing.T) {
 
 func TestBestConfigImprovesOnAverage(t *testing.T) {
 	w := smallWorkload(t, "spmspv", 3)
-	ev := NewEvaluator(chip, sim.DefaultBandwidth, w, 0.1, 1, 2)
+	ev := fixedEvaluator(t, w, 0.1)
 	phase := ev.Phases()[0]
 	rng := rand.New(rand.NewSource(7))
 	best, evals, err := ev.BestConfig(rng, 8, config.CacheMode, phase, power.EnergyEfficient)

@@ -6,6 +6,7 @@ import (
 
 	"sparseadapt/internal/config"
 	"sparseadapt/internal/engine"
+	"sparseadapt/internal/kernels"
 	"sparseadapt/internal/oracle"
 )
 
@@ -27,7 +28,7 @@ func TestCorpusDeterminismAcrossWorkers(t *testing.T) {
 	var recs []*oracle.Recording
 	for _, workers := range []int{1, 4} {
 		eng := engine.New(engine.Options{Workers: workers})
-		rec, err := oracle.RecordEngine(context.Background(), eng, corpusChip, corpusBW, w, s.EpochScale, cfgs)
+		rec, err := oracle.RecordSourceEngine(context.Background(), eng, nil, corpusChip, corpusBW, kernels.Fixed(w), s.EpochScale, cfgs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

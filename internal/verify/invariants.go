@@ -463,7 +463,7 @@ func checkOracleEEBound(rng *rand.Rand) error {
 		return err
 	}
 	cfgs := oracle.SampleConfigs(rng, 4, config.CacheMode)
-	rec, err := oracle.Record(corpusChip, corpusBW, w, 0.1, cfgs)
+	rec, err := oracle.RecordSource(corpusChip, corpusBW, kernels.Fixed(w), 0.1, cfgs)
 	if err != nil {
 		return err
 	}
