@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -150,6 +151,22 @@ func TestRunAlgoFlags(t *testing.T) {
 	}
 	if !strings.Contains(out, "gains over baseline") {
 		t.Fatalf("pinned run output malformed: %s", out)
+	}
+}
+
+// TestRunHonorsCancellation: a cancelled run stops at its first epoch
+// boundary and reports the cancellation, on the plain and on the resilient
+// (fault-injected, checkpointed) control path alike.
+func TestRunHonorsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ck := filepath.Join(t.TempDir(), "run.ck")
+	for _, extra := range [][]string{nil, {"-faults", "nan=0.1,seed=7", "-checkpoint", ck}} {
+		var buf bytes.Buffer
+		args := append([]string{"run", "-kernel", "spmspv", "-matrix", "R12", "-scale", "test"}, extra...)
+		if code := MainContext(ctx, args, &buf); code != 1 || !strings.Contains(buf.String(), "context canceled") {
+			t.Fatalf("cancelled run %v exited %d: %s", extra, code, buf.String())
+		}
 	}
 }
 
