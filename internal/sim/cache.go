@@ -6,13 +6,99 @@ const LineSize = 64
 // Ways is the set associativity of every R-DCache bank.
 const Ways = 4
 
-// line is one cache line's bookkeeping state.
+// line is one cache line's bookkeeping state in 8 bytes, so a 4-way set
+// is 32 bytes and never straddles a host cache line. The tag word carries
+// the tag in its low bits and the valid, dirty and prefetched state bits
+// in its top three; a way then matches with one compare of the masked word.
 type line struct {
-	tag        uint32
-	lru        uint32
-	valid      bool
-	dirty      bool
-	prefetched bool // filled by prefetch, not yet demanded
+	tag uint32 // tag | lineValid | lineDirty | linePrefetched
+	lru uint32
+}
+
+// State bits of line.tag. A machine's tags are at most 26 bits (32-bit
+// byte addresses over 64-byte lines); Bank rejects a fill whose tag would
+// reach the state bits.
+const (
+	lineValid      = 1 << 31
+	lineDirty      = 1 << 30
+	linePrefetched = 1 << 29 // filled by prefetch, not yet demanded
+	tagMask        = linePrefetched - 1
+	matchMask      = lineValid | tagMask
+)
+
+// cacheSet is the ways of one set.
+type cacheSet [Ways]line
+
+// find returns the way holding tag, or -1. Tags are unique within a set,
+// so at most one way matches, and summing way+1 over the matching ways
+// gives the match plus one with no branch per way: a hit's way is as
+// unpredictable as the trace, and a mispredicted branch per probe cost more
+// than the arithmetic. x^want is zero exactly on a match, and only a zero x
+// wraps x-1 to set bit 63.
+func (s *cacheSet) find(tag uint32) int {
+	want := tag | lineValid
+	w := 0
+	for i := range s {
+		w += (i + 1) * int((uint64(s[i].tag&matchMask^want)-1)>>63)
+	}
+	return w - 1
+}
+
+// victim returns the way a fill replaces: the first invalid way, else the
+// least recently used one (the first of equals). An invalid way ranks 0
+// and a valid one its tick plus one, so one branch-free minimum finds it.
+func (s *cacheSet) victim() int {
+	v, best := 0, s[0].rank()
+	for i := 1; i < Ways; i++ {
+		if r := s[i].rank(); r < best {
+			v, best = i, r
+		}
+	}
+	return v
+}
+
+// rank orders ways for replacement: 0 for an invalid way, lru+1 otherwise
+// (the negated valid bit masks all or nothing).
+func (l *line) rank() uint64 {
+	return (uint64(l.lru) + 1) & -uint64(l.tag/lineValid)
+}
+
+// divisor splits values by a fixed count: with a shift and a mask when the
+// count is a power of two, by integer division otherwise. Division is the
+// most expensive instruction on the per-access path, so every split there
+// goes through one of these.
+type divisor struct {
+	n     uint32
+	mask  uint32
+	shift uint8
+	pow2  bool
+}
+
+func newDivisor(n int) divisor {
+	d := divisor{n: uint32(n), pow2: n&(n-1) == 0}
+	if d.pow2 {
+		d.mask = uint32(n) - 1
+		for 1<<d.shift < n {
+			d.shift++
+		}
+	}
+	return d
+}
+
+// divmod returns x / n and x % n.
+func (d divisor) divmod(x uint32) (q, r uint32) {
+	if d.pow2 {
+		return x >> d.shift, x & d.mask
+	}
+	return x / d.n, x % d.n
+}
+
+// join is the inverse of divmod: q*n + r.
+func (d divisor) join(q, r uint32) uint32 {
+	if d.pow2 {
+		return q<<d.shift | r
+	}
+	return q*d.n + r
 }
 
 // Bank models one reconfigurable data-cache (R-DCache) bank: set-associative
@@ -20,17 +106,11 @@ type line struct {
 // (Section 3.2.2: each logical bank is a set of physical sub-banks, so
 // capacity increases keep resident lines).
 type Bank struct {
-	sets  int
-	lines []line // sets × Ways
-	tick  uint32
-
-	// setMask/tagShift implement the set split with mask/shift when sets is
-	// a power of two (every standard capacity), falling back to div/mod
-	// otherwise. Integer division is the single most expensive instruction
-	// on the per-access path, so this is load-bearing for replay speed.
-	setMask  uint32
-	tagShift uint8
-	pow2     bool
+	lines []cacheSet
+	// sets splits a line address into its tag and set index: shift and
+	// mask for every standard capacity, div/mod for any other.
+	sets divisor
+	tick uint32
 
 	// nValid/nDirty track resident and dirty line counts incrementally so
 	// Occupancy and DirtyLines are O(1) per epoch instead of a full scan of
@@ -53,49 +133,43 @@ func NewBank(capacityBytes int) *Bank {
 }
 
 func (b *Bank) init(capacityBytes int) {
-	sets := capacityBytes / (LineSize * Ways)
-	if sets < 1 {
-		sets = 1
-	}
-	b.sets = sets
-	b.lines = make([]line, sets*Ways)
+	sets := max(capacityBytes/(LineSize*Ways), 1)
+	b.lines = make([]cacheSet, sets)
+	b.sets = newDivisor(sets)
 	b.tick = 0
 	b.nValid, b.nDirty = 0, 0
-	b.pow2 = sets&(sets-1) == 0
-	if b.pow2 {
-		b.setMask = uint32(sets - 1)
-		shift := uint8(0)
-		for 1<<shift < sets {
-			shift++
-		}
-		b.tagShift = shift
-	}
 }
 
 // CapacityBytes returns the current bank capacity.
-func (b *Bank) CapacityBytes() int { return b.sets * Ways * LineSize }
+func (b *Bank) CapacityBytes() int { return len(b.lines) * Ways * LineSize }
 
-// set returns the slice of ways for the set holding lineAddr.
-func (b *Bank) set(lineAddr uint32) ([]line, uint32) {
-	if b.pow2 {
-		s := lineAddr & b.setMask
-		return b.lines[s*Ways : s*Ways+Ways], lineAddr >> b.tagShift
-	}
-	s := int(lineAddr) % b.sets
-	tag := lineAddr / uint32(b.sets)
-	return b.lines[s*Ways : s*Ways+Ways], tag
+// set returns the set holding lineAddr and the line's tag.
+func (b *Bank) set(lineAddr uint32) (*cacheSet, uint32) {
+	tag, s := b.sets.divmod(lineAddr)
+	return &b.lines[s], tag
 }
 
 // Lookup probes the bank without counting a demand access. It reports
 // whether the line is resident.
 func (b *Bank) Lookup(lineAddr uint32) bool {
 	ws, tag := b.set(lineAddr)
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			return true
-		}
+	return ws.find(tag) >= 0
+}
+
+// hit applies a demand hit to l: LRU update, the dirty bit for a store,
+// and usefulness accounting for the first demand of a prefetched line.
+func (b *Bank) hit(l *line, store bool) (prefHit bool) {
+	if l.tag&linePrefetched != 0 {
+		b.PrefUseful++
+		l.tag &^= linePrefetched
+		prefHit = true
 	}
-	return false
+	l.lru = b.tick
+	if store && l.tag&lineDirty == 0 {
+		l.tag |= lineDirty
+		b.nDirty++
+	}
+	return prefHit
 }
 
 // Access performs a demand access to lineAddr. On a hit it updates LRU and
@@ -107,20 +181,8 @@ func (b *Bank) Access(lineAddr uint32, store bool) (hit, prefHit bool) {
 	b.Accesses++
 	b.tick++
 	ws, tag := b.set(lineAddr)
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			if ws[i].prefetched {
-				b.PrefUseful++
-				ws[i].prefetched = false
-				prefHit = true
-			}
-			ws[i].lru = b.tick
-			if store && !ws[i].dirty {
-				ws[i].dirty = true
-				b.nDirty++
-			}
-			return true, prefHit
-		}
+	if w := ws.find(tag); w >= 0 {
+		return true, b.hit(&ws[w], store)
 	}
 	b.Misses++
 	return false, false
@@ -137,37 +199,32 @@ func (b *Bank) AccessFill(lineAddr uint32, store bool) (hit, prefHit bool, ev Ev
 	b.Accesses++
 	b.tick++
 	ws, tag := b.set(lineAddr)
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			if ws[i].prefetched {
-				b.PrefUseful++
-				ws[i].prefetched = false
-				prefHit = true
-			}
-			ws[i].lru = b.tick
-			if store && !ws[i].dirty {
-				ws[i].dirty = true
-				b.nDirty++
-			}
-			return true, prefHit, Evicted{}
-		}
+	if w := ws.find(tag); w >= 0 {
+		return true, b.hit(&ws[w], store), Evicted{}
 	}
 	b.Misses++
 	// Demand fill. The set was just scanned and the line is absent, so the
 	// resident-rescan of Insert is skipped; tick bumps again exactly as the
 	// standalone Insert would.
 	b.tick++
-	victim := 0
-	for i := 1; i < len(ws); i++ {
-		if !ws[victim].valid {
-			break
-		}
-		if !ws[i].valid || ws[i].lru < ws[victim].lru {
-			victim = i
-		}
+	return false, false, b.replace(&ws[ws.victim()], lineAddr, tag, store, false)
+}
+
+// PrefetchFill is the fused prefetch path: it fills lineAddr as a
+// prefetched line unless it is already resident, in one set scan. It is
+// bit-identical to
+//
+//	if !b.Lookup(lineAddr) { ev = b.Insert(lineAddr, false, true) }
+//
+// a resident line is left as it is (no tick, no LRU update) and filled
+// reports whether the fill happened.
+func (b *Bank) PrefetchFill(lineAddr uint32) (filled bool, ev Evicted) {
+	ws, tag := b.set(lineAddr)
+	if ws.find(tag) >= 0 {
+		return false, Evicted{}
 	}
-	ev = b.replace(victim, ws, lineAddr, tag, store, false)
-	return false, false, ev
+	b.tick++
+	return true, b.replace(&ws[ws.victim()], lineAddr, tag, false, true)
 }
 
 // Evicted describes a line displaced from a bank.
@@ -184,60 +241,52 @@ func (b *Bank) Insert(lineAddr uint32, dirty, prefetched bool) Evicted {
 	b.tick++
 	ws, tag := b.set(lineAddr)
 	// Already resident (e.g. racing prefetch): just update.
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			if dirty && !ws[i].dirty {
-				ws[i].dirty = true
-				b.nDirty++
-			}
-			ws[i].lru = b.tick
-			return Evicted{}
+	if w := ws.find(tag); w >= 0 {
+		l := &ws[w]
+		if dirty && l.tag&lineDirty == 0 {
+			l.tag |= lineDirty
+			b.nDirty++
 		}
+		l.lru = b.tick
+		return Evicted{}
 	}
-	victim := 0
-	for i := 1; i < len(ws); i++ {
-		if !ws[victim].valid {
-			break
-		}
-		if !ws[i].valid || ws[i].lru < ws[victim].lru {
-			victim = i
-		}
-	}
-	return b.replace(victim, ws, lineAddr, tag, dirty, prefetched)
+	return b.replace(&ws[ws.victim()], lineAddr, tag, dirty, prefetched)
 }
 
-// replace overwrites the victim way with a fresh line and maintains the
-// incremental valid/dirty counts. ws is the set slice lineAddr maps to and
-// tag its bank-local tag; the caller has already bumped the tick.
-func (b *Bank) replace(victim int, ws []line, lineAddr, tag uint32, dirty, prefetched bool) Evicted {
+// replace overwrites the victim way v with a fresh line and maintains the
+// incremental valid/dirty counts. v lies in the set lineAddr maps to and
+// tag is lineAddr's tag; the caller has already bumped the tick.
+func (b *Bank) replace(v *line, lineAddr, tag uint32, dirty, prefetched bool) Evicted {
+	if tag > tagMask {
+		panic("sim: line address too large for the bank's tag bits")
+	}
 	ev := Evicted{}
-	v := &ws[victim]
-	if v.valid {
-		ev = Evicted{
-			LineAddr: v.tag*uint32(b.sets) + uint32(int(lineAddr)%b.sets),
-			Dirty:    v.dirty,
-			Valid:    true,
-		}
-		if v.dirty {
+	if v.tag&lineValid != 0 {
+		_, s := b.sets.divmod(lineAddr)
+		ev = Evicted{LineAddr: b.sets.join(v.tag&tagMask, s), Dirty: v.tag&lineDirty != 0, Valid: true}
+		if ev.Dirty {
 			b.nDirty--
 		}
 	} else {
 		b.nValid++
 	}
+	w := tag | lineValid
 	if dirty {
+		w |= lineDirty
 		b.nDirty++
 	}
-	*v = line{tag: tag, lru: b.tick, valid: true, dirty: dirty, prefetched: prefetched}
 	if prefetched {
+		w |= linePrefetched
 		b.Prefetches++
 	}
+	*v = line{tag: w, lru: b.tick}
 	return ev
 }
 
 // Occupancy returns the fraction of valid lines, the "cache occupancy"
 // counter of Table 2. O(1): the count is maintained incrementally.
 func (b *Bank) Occupancy() float64 {
-	return float64(b.nValid) / float64(len(b.lines))
+	return float64(b.nValid) / float64(len(b.lines)*Ways)
 }
 
 // DirtyLines returns the number of dirty resident lines. O(1): the count
@@ -248,15 +297,14 @@ func (b *Bank) DirtyLines() int { return b.nDirty }
 // lines that must be written back to the next level.
 func (b *Bank) Flush() []uint32 {
 	var dirty []uint32
-	for s := 0; s < b.sets; s++ {
-		for w := 0; w < Ways; w++ {
-			l := &b.lines[s*Ways+w]
-			if l.valid && l.dirty {
-				dirty = append(dirty, l.tag*uint32(b.sets)+uint32(s))
+	for s := range b.lines {
+		for _, l := range &b.lines[s] {
+			if l.tag&(lineValid|lineDirty) == lineValid|lineDirty {
+				dirty = append(dirty, b.sets.join(l.tag&tagMask, uint32(s)))
 			}
-			l.valid = false
 		}
 	}
+	clear(b.lines)
 	b.nValid, b.nDirty = 0, 0
 	return dirty
 }
@@ -269,17 +317,15 @@ func (b *Bank) Resize(capacityBytes int) (dirtyWB []uint32) {
 	if capacityBytes == b.CapacityBytes() {
 		return nil
 	}
-	old := b.lines
-	oldSets := b.sets
+	old, oldSets := b.lines, b.sets
 	b.init(capacityBytes)
-	for s := 0; s < oldSets; s++ {
-		for w := 0; w < Ways; w++ {
-			l := old[s*Ways+w]
-			if !l.valid {
+	for s := range old {
+		for _, l := range &old[s] {
+			if l.tag&lineValid == 0 {
 				continue
 			}
-			addr := l.tag*uint32(oldSets) + uint32(s)
-			ev := b.Insert(addr, l.dirty, false)
+			addr := oldSets.join(l.tag&tagMask, uint32(s))
+			ev := b.Insert(addr, l.tag&lineDirty != 0, false)
 			if ev.Valid && ev.Dirty {
 				dirtyWB = append(dirtyWB, ev.LineAddr)
 			}

@@ -68,17 +68,26 @@ type Machine struct {
 	pendCycles float64
 	pendCounts power.Counts
 
+	// Per-core routing, built once from the chip and indexed by the uint8
+	// core id, so the per-access lookups neither divide nor bounds-check:
+	// coreTile is the core's tile (an LCP's is the tile it controls) and
+	// coreL1Base the first L1 bank of that tile.
+	coreTile   [256]int32
+	coreL1Base [256]int32
+	// gpt splits a line address across the L1 banks of a tile (shared L1)
+	// and l2Banks across the L2 banks (shared L2).
+	gpt     divisor
+	l2Banks divisor
+
 	// Derived per-configuration values cached off the hot path (decoding
 	// the packed config on every access costs more than the tag scan);
 	// refreshed by refreshDerived on construction and reconfiguration.
 	dvNGPE     int  // chip.NGPE()
-	dvGPT      int  // chip.GPEsPerTile
-	dvL2Banks  int  // chip.L2Banks()
 	dvL1Shared bool // cfg.L1Shared()
 	dvL2Shared bool // cfg.L2Shared()
 	dvL1SPM    bool // cfg.L1IsSPM()
 	dvPrefDeg  int  // cfg.PrefetchDegree()
-	dvDRAMCyc  int  // dramCycles() at the current clock
+	dvDRAMCyc  int  // DRAM latency in cycles at the current clock
 
 	// Per-epoch scratch state.
 	cyc        []int64 // per-core cycles
@@ -115,6 +124,18 @@ func New(chip power.Chip, bwBytesPerSec float64, cfg config.Config) *Machine {
 		m.l2[i] = NewBank(cfg.L2CapKB() * 1024)
 		m.l2pf[i] = &Prefetcher{}
 	}
+	nGPE := chip.NGPE()
+	for c := range m.coreTile {
+		if c < nGPE {
+			tile := c / chip.GPEsPerTile
+			m.coreTile[c] = int32(tile)
+			m.coreL1Base[c] = int32(tile * chip.GPEsPerTile)
+		} else {
+			m.coreTile[c] = int32(c - nGPE)
+		}
+	}
+	m.gpt = newDivisor(chip.GPEsPerTile)
+	m.l2Banks = newDivisor(chip.L2Banks())
 	m.cyc = make([]int64, chip.NGPE()+chip.Tiles)
 	m.bankAcc = make([]int, chip.L1Banks())
 	m.l2BankAcc = make([]int, chip.L2Banks())
@@ -129,8 +150,6 @@ func New(chip power.Chip, bwBytesPerSec float64, cfg config.Config) *Machine {
 // Must be called whenever m.cfg changes.
 func (m *Machine) refreshDerived() {
 	m.dvNGPE = m.chip.NGPE()
-	m.dvGPT = m.chip.GPEsPerTile
-	m.dvL2Banks = m.chip.L2Banks()
 	m.dvL1Shared = m.cfg.L1Shared()
 	m.dvL2Shared = m.cfg.L2Shared()
 	m.dvL1SPM = m.cfg.L1IsSPM()
@@ -226,32 +245,20 @@ func (m *Machine) spmResident(addr uint32) bool {
 	return false
 }
 
-// tileOf returns the tile index of a core (GPE or LCP).
-func (m *Machine) tileOf(core int) int {
-	if core < m.dvNGPE {
-		return core / m.dvGPT
-	}
-	return core - m.dvNGPE
-}
-
 // l2Access routes one access to the L2 layer from a tile, returning the
 // latency charged to the requester. Misses fetch from DRAM; dirty victims
 // write back. store marks full-line writebacks from L1 (no fill read).
 //
 // In shared mode lines interleave across banks on the low line bits; the
 // bank then indexes its sets on the remaining (bank-local) bits so the full
-// set space is used.
+// set space is used. In private mode a tile uses its own bank: every core a
+// trace can name (the GPEs and one LCP per tile) has a tile below the bank
+// count.
 func (m *Machine) l2Access(tile int, lineAddr uint32, store bool, pc uint16) int {
-	var bank int
-	local := lineAddr
-	lat := latL2Private
-	nb := uint32(m.dvL2Banks)
+	bank, local, lat := tile, lineAddr, latL2Private
 	if m.dvL2Shared {
-		bank = int(lineAddr % nb)
-		local = lineAddr / nb
-		lat = latL2Shared
-	} else {
-		bank = tile % m.dvL2Banks
+		q, r := m.l2Banks.divmod(lineAddr)
+		bank, local, lat = int(r), q, latL2Shared
 	}
 	m.l2BankAcc[bank]++
 	m.epCnt.L2Accesses++
@@ -277,10 +284,9 @@ func (m *Machine) l2Access(tile int, lineAddr uint32, store bool, pc uint16) int
 	// not train it.
 	if deg := m.dvPrefDeg; deg > 0 && pc != 0 {
 		for _, pa := range m.l2pf[bank].Observe(pc, local, deg) {
-			if !b.Lookup(pa) {
+			if filled, pev := b.PrefetchFill(pa); filled {
 				m.readBytes += LineSize
 				m.epCnt.L2Accesses++
-				pev := b.Insert(pa, false, true)
 				if pev.Valid && pev.Dirty {
 					m.writeBytes += LineSize
 				}
@@ -301,25 +307,12 @@ func corePC(pc uint16, core uint8) uint16 {
 	return pc + uint16(core)*131
 }
 
-// dramCycles returns DRAM access latency in cycles at the current clock.
-func (m *Machine) dramCycles() int { return m.dvDRAMCyc }
-
-// l1BankFor returns the L1 bank servicing an access by a GPE.
-func (m *Machine) l1BankFor(core int, lineAddr uint32) int {
-	g := m.dvGPT
-	tile := core / g
-	if m.dvL1Shared {
-		return tile*g + int(lineAddr)%g
-	}
-	return core
-}
-
 // memAccess simulates one memory event and returns the cycles charged to
 // the issuing core.
 func (m *Machine) memAccess(e Event) int {
 	lineAddr := e.Addr / LineSize
 	core := int(e.Core)
-	tile := m.tileOf(core)
+	tile := int(m.coreTile[e.Core])
 	store := e.Kind.IsStore()
 
 	// LCP accesses (bookkeeping) bypass the GPE-layer L1 and go to L2.
@@ -351,30 +344,21 @@ func (m *Machine) memAccess(e Event) int {
 		return 1 + m.l2Access(tile, lineAddr, store, corePC(e.PC, e.Core))
 	}
 
-	// Cache mode. In shared mode the bank is selected by the low line bits
-	// and the bank indexes on the remaining (bank-local) bits.
-	bank := m.l1BankFor(core, lineAddr)
-	local := lineAddr
-	g := uint32(m.dvGPT)
-	shared := m.dvL1Shared
-	if shared {
-		local = lineAddr / g
-	}
-	// toGlobal recovers the global line address of a bank-local one for
-	// writeback routing.
-	toGlobal := func(l uint32) uint32 {
-		if shared {
-			return l*g + uint32(bank)%g
-		}
-		return l
-	}
-	m.bankAcc[bank]++
-	m.epCnt.L1Accesses++
+	// Cache mode. A private L1 is the core's own bank. In shared mode the
+	// low line bits select one of the tile's banks (slot) and the bank
+	// indexes on the remaining (bank-local) bits; global addresses of
+	// bank-local lines, for writeback routing, rejoin the two.
+	bank, local := core, lineAddr
+	var slot uint32
 	lat := latL1Private
-	if shared {
+	if m.dvL1Shared {
+		local, slot = m.gpt.divmod(lineAddr)
+		bank = int(m.coreL1Base[e.Core]) + int(slot)
 		lat = latL1Shared
 		m.epCnt.XbarTransfers++
 	}
+	m.bankAcc[bank]++
+	m.epCnt.L1Accesses++
 	b := m.l1[bank]
 	hit, prefHit, ev := b.AccessFill(local, store)
 	cost := 1 + lat
@@ -382,7 +366,7 @@ func (m *Machine) memAccess(e Event) int {
 		if ev.Valid && ev.Dirty {
 			// Dirty victim written back to L2, off the critical path.
 			m.epCnt.L1Accesses++
-			m.l2Access(tile, toGlobal(ev.LineAddr), true, 0)
+			m.l2Access(tile, m.l1Global(ev.LineAddr, slot), true, 0)
 		}
 		cost += m.l2Access(tile, lineAddr, false, corePC(e.PC, e.Core))
 	}
@@ -393,18 +377,29 @@ func (m *Machine) memAccess(e Event) int {
 	// alias.
 	if deg := m.dvPrefDeg; deg > 0 && (!hit || prefHit) {
 		for _, pa := range m.l1pf[bank].Observe(corePC(e.PC, e.Core), local, deg) {
-			if !b.Lookup(pa) {
-				m.epCnt.L1Accesses++
-				pev := b.Insert(pa, false, true)
-				if pev.Valid && pev.Dirty {
-					m.epCnt.L1Accesses++
-					m.l2Access(tile, toGlobal(pev.LineAddr), true, 0)
-				}
-				m.l2Access(tile, toGlobal(pa), false, 0)
+			filled, pev := b.PrefetchFill(pa)
+			if !filled {
+				continue
 			}
+			m.epCnt.L1Accesses++
+			if pev.Valid && pev.Dirty {
+				m.epCnt.L1Accesses++
+				m.l2Access(tile, m.l1Global(pev.LineAddr, slot), true, 0)
+			}
+			m.l2Access(tile, m.l1Global(pa, slot), false, 0)
 		}
 	}
 	return cost
+}
+
+// l1Global returns the global line address of a line held by a tile's L1
+// bank slot: in shared mode banks hold bank-local addresses, in private
+// mode global ones.
+func (m *Machine) l1Global(local, slot uint32) uint32 {
+	if m.dvL1Shared {
+		return m.gpt.join(local, slot)
+	}
+	return local
 }
 
 // EpochResult is the outcome of replaying one epoch: the metrics the
@@ -441,7 +436,7 @@ func (m *Machine) RunEpoch(ep EpochRange) EpochResult {
 	}
 	m.epCnt = power.Counts{}
 	m.readBytes, m.writeBytes = 0, 0
-	m.snapshotBankCounters()
+	m.resetBankCounters()
 
 	// Batched replay: the per-epoch aggregate (built once per trace and
 	// shared across configurations) supplies the cycle and instruction
@@ -547,10 +542,10 @@ func contentionOf(bankAcc []int, requesters int) int {
 	return cont * (requesters - 1) / requesters
 }
 
-// prevBankTotals snapshots aggregate bank counters so per-epoch deltas can
-// be derived (the hardware resets counters on query; the model accumulates
-// and diffs, which is equivalent).
-func (m *Machine) snapshotBankCounters() {
+// resetBankCounters zeroes every bank's per-epoch counters before an epoch
+// replays, as the hardware resets its counters when they are queried, so
+// after the epoch they hold that epoch's counts alone.
+func (m *Machine) resetBankCounters() {
 	for _, b := range m.l1 {
 		b.ResetCounters()
 	}

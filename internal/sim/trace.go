@@ -47,7 +47,7 @@ func (k EventKind) IsStore() bool { return k == KStoreF || k == KStoreI }
 // the paper's epoch definition (FP ALU ops plus FP loads and stores).
 func (k EventKind) IsFP() bool { return k == KLoadF || k == KStoreF || k == KFP }
 
-// Event is one traced instruction: 12 bytes, kept small because traces for
+// Event is one traced instruction: 8 bytes, kept small because traces for
 // the larger inputs run to tens of millions of events.
 type Event struct {
 	Addr uint32 // byte address (memory events only)
