@@ -12,7 +12,7 @@
 // Comparison is warn-only by default (exit 0) because single-run CI
 // benchmark numbers are noisy; -fail turns time regressions into a non-zero
 // exit for local use. Warning lines are prefixed with the benchmark's
-// subsystem group ([engine], [sim], [obs], [verify], [figure]) so CI logs
+// subsystem group ([engine], [sim], [obs], [tenant], [ml], [figure]) so CI logs
 // are greppable per subsystem.
 //
 // Allocation counts (allocs/op, requires -benchmem in the run) are compared
@@ -76,6 +76,8 @@ func group(name string) string {
 		return "obs"
 	case strings.HasPrefix(name, "BenchmarkMux"), strings.HasPrefix(name, "BenchmarkTenant"):
 		return "tenant"
+	case strings.HasPrefix(name, "BenchmarkTrain"):
+		return "ml"
 	default:
 		return "figure"
 	}

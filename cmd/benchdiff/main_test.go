@@ -81,6 +81,8 @@ func TestGroupNames(t *testing.T) {
 		"BenchmarkEngineOracleRecord/workers=8": "engine",
 		"BenchmarkEngineCacheWarm":              "engine",
 		"BenchmarkSimRunEpoch":                  "sim",
+		"BenchmarkSimReplay/spmspv/spm":         "sim",
+		"BenchmarkTrainEnsemble":                "ml",
 		"BenchmarkCounterAdd":                   "obs",
 		"BenchmarkGoldenDigest":                 "obs",
 		"BenchmarkFigure8":                      "figure",
