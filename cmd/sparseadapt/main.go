@@ -1,6 +1,7 @@
 // Command sparseadapt is the main CLI of the reproduction: it lists and
-// runs the paper's experiments, trains and saves predictive models, runs
-// individual workloads under SparseAdapt control, submits jobs to a
+// runs the paper's experiments, generates training datasets and trains and
+// saves predictive models, runs individual workloads under SparseAdapt
+// control, records a workload's upper bounds, submits jobs to a
 // sparseadaptd server, and prints the dataset inventory. See internal/cli
 // for the implementation.
 package main

@@ -1,6 +1,7 @@
 // Package cli implements the sparseadapt command: it lists and runs the
-// paper's experiments, trains and saves predictive models, runs individual
-// workloads under SparseAdapt control, prints the dataset inventory and
+// paper's experiments, generates training datasets and trains and saves
+// predictive models, runs individual workloads under SparseAdapt control,
+// records a workload's upper bounds, prints the dataset inventory and
 // checks reproduced results against recorded references. The cmd/ binaries
 // are thin wrappers so everything here is testable in-process.
 package cli
@@ -11,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 
@@ -20,14 +20,12 @@ import (
 	"sparseadapt/internal/experiments"
 	"sparseadapt/internal/fault"
 	"sparseadapt/internal/flagcheck"
-	"sparseadapt/internal/graph"
+	"sparseadapt/internal/host"
 	"sparseadapt/internal/kernels"
 	"sparseadapt/internal/matrix"
-	"sparseadapt/internal/ml"
 	"sparseadapt/internal/obs"
 	"sparseadapt/internal/power"
 	"sparseadapt/internal/sim"
-	"sparseadapt/internal/trainer"
 )
 
 // Main dispatches the sparseadapt subcommands, writing to stdout. It
@@ -55,8 +53,12 @@ func MainContext(ctx context.Context, args []string, stdout io.Writer) int {
 		err = cmdExp(ctx, stdout, args[1:])
 	case "train":
 		err = cmdTrain(ctx, stdout, args[1:])
+	case "traingen":
+		err = cmdTraingen(ctx, stdout, args[1:])
 	case "run":
 		err = cmdRun(ctx, stdout, args[1:])
+	case "oracle":
+		err = cmdOracle(ctx, stdout, args[1:])
 	case "submit":
 		err = cmdSubmit(ctx, stdout, args[1:])
 	case "check":
@@ -84,9 +86,17 @@ func MainContext(ctx context.Context, args []string, stdout io.Writer) int {
 }
 
 // flagError marks a flag-range violation so MainContext exits with the
-// usage code (2, all violations joined), matching the flag contract of
-// the standalone binaries (see internal/flagcheck).
+// usage code (2, all violations joined), matching sparseadaptd's flag
+// contract (see internal/flagcheck).
 type flagError struct{ error }
+
+// checkErr returns the violations check gathered as a flagError, or nil.
+func checkErr(check *flagcheck.Check) error {
+	if err := check.Err(); err != nil {
+		return flagError{err}
+	}
+	return nil
+}
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `sparseadapt — runtime control for sparse linear algebra (MICRO'21 reproduction)
@@ -96,9 +106,12 @@ commands:
   datasets             print the evaluation matrix suite (Table 5)
   exp <id>|all [flags] run one experiment (or all) and print its report
   train [flags]        generate training data and fit the predictive model
+  traingen [flags]     generate the training dataset only (JSON/CSV)
   run [flags]          run one workload under SparseAdapt vs the baselines
                        (-faults injects failures, -checkpoint/-resume cover
                        crash recovery; see README)
+  oracle [flags]       record one workload under sampled configurations and
+                       print its upper bounds (Sections 6.2 and 6.4)
   check [flags]        re-run the suite at test scale and diff against the
                        recorded reference shapes (artifact rep_check)
   verify [flags]       run the verification subsystem: golden-trace corpus,
@@ -107,41 +120,6 @@ commands:
   submit [flags]       submit a job to a sparseadaptd server and stream its
                        progress (see docs/SERVER.md)
   version              print build identity (also -version on every binary)`)
-}
-
-func scaleByName(name string) (experiments.Scale, error) {
-	switch name {
-	case "test":
-		return experiments.TestScale(), nil
-	case "small":
-		return experiments.SmallScale(), nil
-	case "paper":
-		return experiments.PaperScale(), nil
-	default:
-		return experiments.Scale{}, fmt.Errorf("unknown scale %q (test|small|paper)", name)
-	}
-}
-
-func modeByName(name string) (power.Mode, error) {
-	switch name {
-	case "ee", "energy-efficient":
-		return power.EnergyEfficient, nil
-	case "pp", "power-performance":
-		return power.PowerPerformance, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (ee|pp)", name)
-	}
-}
-
-func l1ByName(name string) (int, error) {
-	switch name {
-	case "cache":
-		return config.CacheMode, nil
-	case "spm":
-		return config.SPMMode, nil
-	default:
-		return 0, fmt.Errorf("unknown L1 type %q (cache|spm)", name)
-	}
 }
 
 func cmdList(w io.Writer) error {
@@ -185,7 +163,12 @@ func cmdExp(ctx context.Context, w io.Writer, args []string) error {
 	if id == "" {
 		return fmt.Errorf("usage: sparseadapt exp <id> [-scale ...]")
 	}
-	sc, err := scaleByName(*scaleName)
+	var check flagcheck.Check
+	ef.check(&check)
+	if err := checkErr(&check); err != nil {
+		return err
+	}
+	sc, err := experiments.ScaleByName(*scaleName)
 	if err != nil {
 		return err
 	}
@@ -243,89 +226,20 @@ func cmdExp(ctx context.Context, w io.Writer, args []string) error {
 	return of.finish(w)
 }
 
-func cmdTrain(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
-	kernel := fs.String("kernel", "spmspv", "kernel: spmspm|spmspv")
-	l1 := fs.String("l1", "cache", "L1 type: cache|spm")
-	modeName := fs.String("mode", "ee", "optimization mode: ee|pp")
-	scale := fs.Float64("scale", 0.3, "training sweep scale (1 = Table 3)")
-	out := fs.String("out", "model.json", "output model path")
-	dsOut := fs.String("dataset", "", "optional dataset JSON output path")
-	csvOut := fs.String("csv", "", "optional dataset CSV output path")
-	cv := fs.Bool("cv", false, "use k-fold cross-validated hyperparameter search")
-	ef := addEngineFlags(fs)
-	of := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	mode, err := modeByName(*modeName)
-	if err != nil {
-		return err
-	}
-	l1Type, err := l1ByName(*l1)
-	if err != nil {
-		return err
-	}
-	if err := of.start("sparseadapt train", fs, args, w); err != nil {
-		return err
-	}
-	of.annotate(0, fmt.Sprintf("sweep=%g", *scale))
-	defer of.finish(w) //nolint:errcheck // interrupt path; success path checks
-	eng, err := ef.build(w, of)
-	if err != nil {
-		return err
-	}
-	sw := trainer.DefaultSweep(*kernel, l1Type, *scale)
-	fmt.Fprintf(w, "generating dataset: kernel=%s l1=%s mode=%s dims=%v densities=%v bw=%v K=%d workers=%d\n",
-		*kernel, *l1, mode, sw.Dims, sw.Densities, sw.BandwidthsGBps, sw.K, eng.Workers())
-	ds, err := trainer.GenerateEngine(ctx, eng, sw, mode, 1)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "dataset: %d examples\n", len(ds.Examples))
-	ef.report(w, eng)
-	if *dsOut != "" {
-		if err := trainer.SaveDataset(*dsOut, ds); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "wrote", *dsOut)
-	}
-	if *csvOut != "" {
-		if err := trainer.WriteCSV(*csvOut, ds); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "wrote", *csvOut)
-	}
-	var ens *core.Ensemble
-	if *cv {
-		ens, err = trainer.TrainCV(ds, []int{6, 10, 14, 18}, []int{1, 5, 20}, 3)
-	} else {
-		ens, err = trainer.Train(ds, ml.DefaultTreeParams())
-	}
-	if err != nil {
-		return err
-	}
-	if err := core.SaveEnsemble(*out, ens); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "wrote", *out)
-	return of.finish(w)
-}
-
 func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	kernel := fs.String("kernel", "spmspv", "workload: spmspm|spmspv|bfs|sssp")
 	matID := fs.String("matrix", "R12", "dataset matrix ID (see `sparseadapt datasets`)")
-	dataflowName := fs.String("dataflow", "", "run on this dataflow variant: outer|inner|row (spmspm/spmspv; default: natural)")
-	formatName := fs.String("format", "", "run on this A-operand storage format: csr|csc|coo (spmspm/spmspv; default: natural)")
+	pf := addPinFlags(fs, "spmspm/spmspv; default: natural")
 	modeName := fs.String("mode", "ee", "optimization mode: ee|pp")
 	scaleName := fs.String("scale", "small", "experiment scale: test|small|paper")
 	modelPath := fs.String("model", "", "model JSON (trained on the fly when empty)")
 	policy := fs.String("policy", "", "override policy: conservative|aggressive|hybrid")
-	tolerance := fs.Float64("tolerance", 0.4, "hybrid tolerance")
+	tolerance := fs.Float64("tolerance", experiments.DefaultTolerance, "hybrid tolerance")
 	faultSpec := fs.String("faults", "", "fault-injection spec, e.g. nan=0.1,stuck=0.05,rc-drop=0.2,seed=7 (runs the resilient controller)")
 	ckPath := fs.String("checkpoint", "", "controller checkpoint file (written during the run; implies the resilient controller)")
 	resumeCk := fs.Bool("resume", false, "resume an interrupted run from -checkpoint")
+	traceCounters := fs.Bool("trace-counters", false, "include the full Table 2 telemetry vector in every trace epoch record")
 	ef := addEngineFlags(fs)
 	of := addObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -335,29 +249,15 @@ func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	var check flagcheck.Check
-	if *dataflowName != "" {
-		check.OneOf("dataflow", *dataflowName, config.DataflowNames()...)
+	pf.check(&check)
+	if *policy != "" {
+		check.OneOf("policy", *policy, "conservative", "aggressive", "hybrid")
 	}
-	if *formatName != "" {
-		check.OneOf("format", *formatName, config.FormatNames()...)
+	ef.check(&check)
+	if err := checkErr(&check); err != nil {
+		return err
 	}
-	if err := check.Err(); err != nil {
-		return flagError{err}
-	}
-	// pinAxes projects a configuration onto the requested algorithm axes so
-	// every scheme in the comparison runs the same kernel variant.
-	pinAxes := func(c config.Config) config.Config {
-		if *dataflowName != "" {
-			v, _ := config.DataflowByName(*dataflowName) // validated above
-			c[config.Dataflow] = v
-		}
-		if *formatName != "" {
-			v, _ := config.FormatByName(*formatName)
-			c[config.Format] = v
-		}
-		return c
-	}
-	sc, err := scaleByName(*scaleName)
+	sc, err := experiments.ScaleByName(*scaleName)
 	if err != nil {
 		return err
 	}
@@ -371,7 +271,7 @@ func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 	if sc.Eng, err = ef.build(w, of); err != nil {
 		return err
 	}
-	mode, err := modeByName(*modeName)
+	mode, err := power.ModeByName(*modeName)
 	if err != nil {
 		return err
 	}
@@ -380,42 +280,26 @@ func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 		return err
 	}
 	am := entry.Generate(sc.Matrix, sc.Seed)
-	a := am.ToCSC()
+	// A pinned run needs the kernel's variants; an unpinned one builds the
+	// natural variant directly, as a daemon job does.
 	var wl kernels.Workload
-	modelKernel := *kernel
-	pinned := *dataflowName != "" || *formatName != ""
-	switch *kernel {
-	case "spmspm":
-		if pinned {
-			wl, err = kernels.NewSpMSpMSource(*matID, a, am.ToCSR().Transpose(), sc.Chip.NGPE(), sc.Chip.Tiles).Variant(pinAxes(config.Baseline))
-		} else {
-			_, wl, err = kernels.SpMSpM(a, am.ToCSR().Transpose(), sc.Chip.NGPE(), sc.Chip.Tiles)
+	if pf.pinned() {
+		src, err := host.NewSource(*kernel, *matID, am, sc.Seed, sc.Chip)
+		if err != nil {
+			return err
 		}
-	case "spmspv":
-		x := matrix.RandomVec(randSrc(sc.Seed), a.Cols, 0.5)
-		if pinned {
-			wl, err = kernels.NewSpMSpVSource(*matID, a, x, sc.Chip.NGPE(), sc.Chip.Tiles).Variant(pinAxes(config.Baseline))
-		} else {
-			_, wl, err = kernels.SpMSpV(a, x, sc.Chip.NGPE(), sc.Chip.Tiles)
+		if wl, err = src.Variant(pf.pin(config.Baseline)); err != nil {
+			return err
 		}
-	case "bfs", "sssp":
-		if pinned {
-			return fmt.Errorf("-dataflow/-format apply to spmspm/spmspv only, not %q", *kernel)
+	} else {
+		off, err := host.NewOffload(*kernel, am, sc.Seed, sc.Chip)
+		if err != nil {
+			return err
 		}
-		src := 0
-		if *kernel == "bfs" {
-			_, wl, err = graph.BFS(a, src, sc.Chip.NGPE(), sc.Chip.Tiles)
-		} else {
-			_, wl, err = graph.SSSP(a, src, sc.Chip.NGPE(), sc.Chip.Tiles)
-		}
-		modelKernel = "spmspv"
-	default:
-		return fmt.Errorf("unknown kernel %q", *kernel)
-	}
-	if err != nil {
-		return err
+		wl = off.Workload
 	}
 
+	modelKernel := host.ModelKernel(*kernel)
 	var ens *core.Ensemble
 	if *modelPath != "" {
 		ens, err = core.LoadEnsemble(*modelPath)
@@ -425,29 +309,14 @@ func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
+	opts := experiments.ControlOptions(modelKernel, *policy, *tolerance, sc.Epoch)
 
-	opts := core.Options{Policy: core.Hybrid, Tolerance: *tolerance, EpochScale: sc.Epoch}
-	if modelKernel == "spmspm" {
-		opts = core.Options{Policy: core.Conservative, EpochScale: sc.Epoch}
-	}
-	switch *policy {
-	case "conservative":
-		opts.Policy = core.Conservative
-	case "aggressive":
-		opts.Policy = core.Aggressive
-	case "hybrid":
-		opts.Policy = core.Hybrid
-	case "":
-	default:
-		return fmt.Errorf("unknown policy %q", *policy)
-	}
-
-	base := core.RunStatic(sc.Chip, sc.BW, pinAxes(config.Baseline), wl, sc.Epoch)
-	best := core.RunStatic(sc.Chip, sc.BW, pinAxes(config.BestAvgCache), wl, sc.Epoch)
-	max := core.RunStatic(sc.Chip, sc.BW, pinAxes(config.MaxCfg), wl, sc.Epoch)
-	m := sim.New(sc.Chip, sc.BW, pinAxes(config.Baseline))
+	base := core.RunStatic(sc.Chip, sc.BW, pf.pin(config.Baseline), wl, sc.Epoch)
+	best := core.RunStatic(sc.Chip, sc.BW, pf.pin(config.BestAvgCache), wl, sc.Epoch)
+	max := core.RunStatic(sc.Chip, sc.BW, pf.pin(config.MaxCfg), wl, sc.Epoch)
+	m := sim.New(sc.Chip, sc.BW, pf.pin(config.Baseline))
 	m.Instrument(of.reg)
-	observer := of.observer()
+	observer := of.observer(*traceCounters)
 
 	var dyn core.RunResult
 	resilient := *faultSpec != "" || *ckPath != ""
@@ -507,6 +376,3 @@ func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 	}
 	return of.finish(w)
 }
-
-// randSrc builds a deterministic RNG for ad-hoc vectors.
-func randSrc(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed + 1)) }

@@ -210,3 +210,53 @@ func TestExpWritesSVG(t *testing.T) {
 		t.Fatal("not an SVG file")
 	}
 }
+
+// TestOracleSubcommand records a small upper-bound study, free and with
+// the dataflow pinned, and checks both modes' scheme tables print.
+func TestOracleSubcommand(t *testing.T) {
+	for _, extra := range [][]string{nil, {"-dataflow", "inner"}} {
+		args := append([]string{"oracle", "-kernel", "spmspv", "-matrix", "R04", "-samples", "4", "-scale", "test", "-workers", "1"}, extra...)
+		out, code := runCLI(t, args...)
+		if code != 0 {
+			t.Fatalf("%v failed: %s", args, out)
+		}
+		for _, frag := range []string{"recording spmspv on R04:", "--- mode: power-performance ---",
+			"--- mode: energy-efficient ---", "profileadapt-ideal", "ideal static config:"} {
+			if !strings.Contains(out, frag) {
+				t.Fatalf("%v output missing %q:\n%s", args, frag, out)
+			}
+		}
+		if extra != nil && strings.Count(out, " inner/") != 2 {
+			t.Errorf("pinned study's ideal static configs are not inner-product:\n%s", out)
+		}
+	}
+	if out, code := runCLI(t, "oracle", "-kernel", "bfs", "-scale", "test"); code != 1 {
+		t.Errorf("oracle on a kernel without variants exited %d: %s", code, out)
+	}
+}
+
+// TestTraingenMatchesTrain: traingen and train share one generation path,
+// so the same sweep flags write byte-identical dataset files.
+func TestTraingenMatchesTrain(t *testing.T) {
+	dir := t.TempDir()
+	p := func(name string) string { return filepath.Join(dir, name) }
+	if out, code := runCLI(t, "traingen", "-scale", "0.1", "-json", p("gen.json"), "-csv", p("gen.csv")); code != 0 {
+		t.Fatalf("traingen failed: %s", out)
+	}
+	if out, code := runCLI(t, "train", "-scale", "0.1", "-dataset", p("train.json"), "-csv", p("train.csv"), "-out", p("m.json")); code != 0 {
+		t.Fatalf("train failed: %s", out)
+	}
+	for _, pair := range [][2]string{{"gen.json", "train.json"}, {"gen.csv", "train.csv"}} {
+		a, err := os.ReadFile(p(pair[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(p(pair[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) == 0 || !bytes.Equal(a, b) {
+			t.Errorf("traingen's %s (%d bytes) differs from train's %s (%d bytes)", pair[0], len(a), pair[1], len(b))
+		}
+	}
+}

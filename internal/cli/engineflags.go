@@ -33,17 +33,17 @@ func addEngineFlags(fs *flag.FlagSet) *engineFlags {
 	}
 }
 
+// check adds the engine flags' range violations to the subcommand's check.
+func (ef *engineFlags) check(c *flagcheck.Check) {
+	c.NonNegative("workers", *ef.workers)
+}
+
 // build constructs the engine. Progress lines go to w (the command's
 // output stream) so they are testable in-process like everything else.
 // When of carries active observability sinks (non-nil of with -metrics or
 // -trace set), the engine's engine_* metric family and per-task spans feed
 // them.
 func (ef *engineFlags) build(w io.Writer, of *obsFlags) (*engine.Engine, error) {
-	var check flagcheck.Check
-	check.NonNegative("workers", *ef.workers)
-	if err := check.Err(); err != nil {
-		return nil, err
-	}
 	cache, err := engine.NewCache(engineMemEntries, *ef.cacheDir)
 	if err != nil {
 		return nil, err

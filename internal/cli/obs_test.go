@@ -103,3 +103,49 @@ func TestRunWithPprof(t *testing.T) {
 		t.Fatalf("pprof index returned %d", resp.StatusCode)
 	}
 }
+
+// TestRunTraceCounters: run's -trace-counters embeds the Table 2 telemetry
+// vector in every epoch record of the trace, and without it no record
+// carries one.
+func TestRunTraceCounters(t *testing.T) {
+	dir := t.TempDir()
+	for _, withCounters := range []bool{true, false} {
+		path := filepath.Join(dir, "trace-"+strconv.FormatBool(withCounters)+".jsonl")
+		args := []string{"run", "-scale", "test", "-matrix", "R04", "-trace", path}
+		if withCounters {
+			args = append(args, "-trace-counters")
+		}
+		if out, code := runCLI(t, args...); code != 0 {
+			t.Fatalf("%v failed: %s", args, out)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		epochs, counted := 0, 0
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			var rec struct {
+				Type  string `json:"type"`
+				Epoch struct {
+					Counters map[string]float64 `json:"counters"`
+				} `json:"epoch"`
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("bad JSONL line %q: %v", line, err)
+			}
+			if rec.Type == "epoch" {
+				epochs++
+				if len(rec.Epoch.Counters) > 0 {
+					counted++
+				}
+			}
+		}
+		want := 0
+		if withCounters {
+			want = epochs
+		}
+		if epochs == 0 || counted != want {
+			t.Errorf("-trace-counters=%v: %d of %d epoch records carry counters, want %d", withCounters, counted, epochs, want)
+		}
+	}
+}

@@ -16,11 +16,10 @@ import (
 // All four default to off, and the sinks they feed are only allocated when
 // requested, so an unobserved run pays nothing but nil checks.
 type obsFlags struct {
-	metricsPath   *string
-	tracePath     *string
-	traceCounters *bool
-	pprofAddr     *string
-	manifestPath  *string
+	metricsPath  *string
+	tracePath    *string
+	pprofAddr    *string
+	manifestPath *string
 
 	reg      *obs.Registry
 	trace    *obs.TraceRecorder
@@ -29,15 +28,13 @@ type obsFlags struct {
 	finished bool
 }
 
-// addObsFlags registers -metrics/-trace/-trace-counters/-pprof/-manifest
-// on fs.
+// addObsFlags registers -metrics/-trace/-pprof/-manifest on fs.
 func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	return &obsFlags{
-		metricsPath:   fs.String("metrics", "", "write run metrics to this file (.json = JSON snapshot, else Prometheus text)"),
-		tracePath:     fs.String("trace", "", "write the run trace to this file (.jsonl = JSONL, else Chrome trace_event JSON for Perfetto)"),
-		traceCounters: fs.Bool("trace-counters", false, "include the full Table 2 telemetry vector in every trace epoch record"),
-		pprofAddr:     fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while the command runs"),
-		manifestPath:  fs.String("manifest", "", "write a reproducibility manifest (JSON) for this run"),
+		metricsPath:  fs.String("metrics", "", "write run metrics to this file (.json = JSON snapshot, else Prometheus text)"),
+		tracePath:    fs.String("trace", "", "write the run trace to this file (.jsonl = JSONL, else Chrome trace_event JSON for Perfetto)"),
+		pprofAddr:    fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while the command runs"),
+		manifestPath: fs.String("manifest", "", "write a reproducibility manifest (JSON) for this run"),
 	}
 }
 
@@ -78,12 +75,13 @@ func (of *obsFlags) annotate(seed int64, scale string) {
 
 // observer builds the controller-side observer over the configured sinks,
 // or nil when neither -metrics nor -trace is set (observability fully off).
-func (of *obsFlags) observer() *core.Observer {
+// counters embeds the Table 2 telemetry vector in every epoch record.
+func (of *obsFlags) observer(counters bool) *core.Observer {
 	if of.reg == nil && of.trace == nil {
 		return nil
 	}
 	o := core.NewObserver(of.reg, of.trace)
-	o.TraceCounters = *of.traceCounters
+	o.TraceCounters = counters
 	return o
 }
 

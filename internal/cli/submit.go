@@ -53,7 +53,7 @@ func cmdSubmit(ctx context.Context, w io.Writer, args []string) error {
 	check.NonNegativeDuration("stream-stall", *stall)
 	check.NonNegative("count", *count)
 	check.NonNegativeDuration("timeout", *timeout)
-	if err := check.Err(); err != nil {
+	if err := checkErr(&check); err != nil {
 		return err
 	}
 	req := server.JobRequest{

@@ -100,9 +100,10 @@ const (
 	SchedLL = 1 // least-loaded: assign to the GPE with the lowest cost so far
 )
 
-// dataflowNames, formatNames and schedNames index the algorithm axes for
-// display and CLI parsing.
+// l1Names index the L1 type, and dataflowNames, formatNames and
+// schedNames the algorithm axes, for display and CLI parsing.
 var (
+	l1Names       = []string{"cache", "spm"}
 	dataflowNames = []string{"outer", "inner", "row"}
 	formatNames   = []string{"csr", "csc", "coo"}
 	schedNames    = []string{"rr", "ll"}
@@ -125,6 +126,9 @@ func valueByName(axis string, names []string, v string) (int, error) {
 	}
 	return 0, fmt.Errorf("config: unknown %s %q (%s)", axis, v, strings.Join(names, "|"))
 }
+
+// L1ByName maps an L1 type name ("cache", "spm") to CacheMode or SPMMode.
+func L1ByName(v string) (int, error) { return valueByName("L1 type", l1Names, v) }
 
 // DataflowByName maps a dataflow name ("outer", "inner", "row") to its
 // value index, for CLI flag parsing.

@@ -85,7 +85,7 @@ type EpochLog struct {
 	// tenant-switch boundary on a time-multiplexed fabric: the cold-cache
 	// spike is attributed to the co-tenant, not a fault, so it neither
 	// counts toward the degraded streak nor pollutes the baseline (see
-	// ResilientStepper).
+	// ResilientController).
 	Interference bool
 	// Fallback marks an epoch executed under the safe static fallback
 	// configuration rather than model control.

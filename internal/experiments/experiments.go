@@ -75,6 +75,19 @@ func PaperScale() Scale {
 	return s
 }
 
+// ScaleByName maps a scale name (test, small, paper) to its Scale.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "test":
+		return TestScale(), nil
+	case "small":
+		return SmallScale(), nil
+	case "paper":
+		return PaperScale(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (test|small|paper)", name)
+}
+
 // Report is a printable experiment result.
 type Report struct {
 	ID      string
@@ -283,13 +296,32 @@ func buildSpMSpV(sc Scale, id string) (kernels.Workload, error) {
 	return w, nil
 }
 
-// policyFor returns the paper's default policy per kernel (Section 5.4):
-// conservative for SpMSpM, hybrid with 40% tolerance for SpMSpV.
-func policyFor(kernel string, epochScale float64) core.Options {
+// DefaultTolerance is the hybrid policy's threshold for SpMSpV and the
+// graph kernels that share its model: 40% of the previous epoch's time
+// (Section 5.4).
+const DefaultTolerance = 0.4
+
+// ControlOptions returns the control options of a run whose model is
+// kernel's. The default is the paper's policy (Section 5.4): conservative
+// for SpMSpM, hybrid at tolerance otherwise. A non-empty policy name
+// (conservative, aggressive, hybrid) overrides the policy but not the
+// tolerance, which SpMSpM never takes: an SpMSpM run overridden to hybrid
+// runs at zero tolerance. Callers validate the name; an unknown one keeps
+// the default.
+func ControlOptions(kernel, policy string, tolerance, epochScale float64) core.Options {
+	opts := core.Options{Policy: core.Hybrid, Tolerance: tolerance, EpochScale: epochScale}
 	if kernel == "spmspm" {
-		return core.Options{Policy: core.Conservative, EpochScale: epochScale}
+		opts = core.Options{Policy: core.Conservative, EpochScale: epochScale}
 	}
-	return core.Options{Policy: core.Hybrid, Tolerance: 0.4, EpochScale: epochScale}
+	switch policy {
+	case "conservative":
+		opts.Policy = core.Conservative
+	case "aggressive":
+		opts.Policy = core.Aggressive
+	case "hybrid":
+		opts.Policy = core.Hybrid
+	}
+	return opts
 }
 
 // runSparseAdapt executes a workload under the trained controller and
@@ -301,7 +333,7 @@ func runSparseAdapt(sc Scale, w kernels.Workload, kernel string, l1Type int, mod
 	}
 	start := startConfig(l1Type)
 	m := sim.New(sc.Chip, sc.BW, start)
-	ctl := core.NewController(ens, policyFor(kernel, sc.Epoch))
+	ctl := core.NewController(ens, ControlOptions(kernel, "", DefaultTolerance, sc.Epoch))
 	return ctl.Run(m, w), nil
 }
 

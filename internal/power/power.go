@@ -6,6 +6,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 
 	"sparseadapt/internal/config"
@@ -169,6 +170,18 @@ func (m Mode) String() string {
 		return "energy-efficient"
 	}
 	return "power-performance"
+}
+
+// ModeByName maps an objective name to its Mode: "ee" or
+// "energy-efficient", "pp" or "power-performance".
+func ModeByName(name string) (Mode, error) {
+	switch name {
+	case "ee", "energy-efficient":
+		return EnergyEfficient, nil
+	case "pp", "power-performance":
+		return PowerPerformance, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (ee|pp)", name)
 }
 
 // Metrics is the (time, energy, work) triple every comparison in the paper

@@ -16,10 +16,10 @@ import (
 // The run modes a job can request, mapping one-to-one onto the host
 // runner's entry points.
 const (
-	ModeStatic    = "static"    // fixed configuration (host.RunStatic)
-	ModeAdaptive  = "adaptive"  // SparseAdapt control (host.RunAdaptive)
-	ModeResilient = "resilient" // fault-tolerant control (host.RunResilient)
-	ModeBatch     = "batch"     // N offloads through the engine pool (host.RunBatchAdaptive)
+	ModeStatic    = "static"    // fixed configuration (host.Runner.RunStaticFull)
+	ModeAdaptive  = "adaptive"  // SparseAdapt control (host.Runner.RunAdaptiveFull)
+	ModeResilient = "resilient" // fault-tolerant control (host.Runner.RunResilient)
+	ModeBatch     = "batch"     // N offloads through the engine pool (host.Runner.RunBatchAdaptive)
 )
 
 // Job lifecycle states, as reported by JobStatus.State. Quarantined is the
@@ -236,7 +236,7 @@ func DecodeJobRequest(data []byte) (JobRequest, error) {
 
 // JobResult is a finished job's payload. Host carries the offload
 // economics — for an adaptive job it is byte-identical to what the
-// equivalent in-process host.RunAdaptive call returns. The per-epoch trace
+// equivalent in-process host.Runner.RunAdaptiveFull call returns. The per-epoch trace
 // is delivered over the job's SSE stream (and kept server-side for cache
 // replay) rather than inlined here, so status polls stay small.
 type JobResult struct {

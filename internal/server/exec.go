@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"sparseadapt/internal/config"
@@ -11,9 +10,7 @@ import (
 	"sparseadapt/internal/engine"
 	"sparseadapt/internal/experiments"
 	"sparseadapt/internal/fault"
-	"sparseadapt/internal/graph"
 	"sparseadapt/internal/host"
-	"sparseadapt/internal/kernels"
 	"sparseadapt/internal/matrix"
 	"sparseadapt/internal/obs"
 	"sparseadapt/internal/power"
@@ -141,7 +138,7 @@ func (s *Server) chaosEpochEmitter(j *sched.Job, attempt int) func(obs.EpochReco
 func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResult, error) {
 	req := j.Request()
 	emit := s.chaosEpochEmitter(j, attempt)
-	sc, err := scaleFor(req.Scale)
+	sc, err := experiments.ScaleByName(req.Scale)
 	if err != nil {
 		return JobResult{}, err
 	}
@@ -156,7 +153,11 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResu
 	sc.Eng = s.eng
 	sc.Memo = sim.SharedRunMemo()
 
-	off, modelKernel, err := buildWorkload(req, sc)
+	am, err := inputMatrix(req, sc)
+	if err != nil {
+		return JobResult{}, err
+	}
+	off, err := host.NewOffload(req.Kernel, am, sc.Seed, sc.Chip)
 	if err != nil {
 		return JobResult{}, err
 	}
@@ -191,15 +192,22 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResu
 		return JobResult{Host: hres, Epochs: len(run.Epochs), Reconfigs: run.Reconfig, Trace: recs}, nil
 	}
 
-	mode, err := modeFor(req.OptMode)
+	mode, err := power.ModeByName(req.OptMode)
 	if err != nil {
 		return JobResult{}, err
 	}
+	modelKernel := host.ModelKernel(req.Kernel)
 	model, err := experiments.Model(sc, modelKernel, config.CacheMode, mode)
 	if err != nil {
 		return JobResult{}, fmt.Errorf("training model: %w", err)
 	}
-	opts := controlOptions(req, modelKernel, sc)
+	// A request's tolerance 0 means the default, since JSON omits a zero
+	// field; the CLI's -tolerance 0 means zero tolerance.
+	tol := req.Tolerance
+	if tol == 0 {
+		tol = experiments.DefaultTolerance
+	}
+	opts := experiments.ControlOptions(modelKernel, req.Policy, tol, sc.Epoch)
 
 	switch req.Mode {
 	case ModeAdaptive:
@@ -255,107 +263,21 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResu
 	return JobResult{}, fmt.Errorf("unhandled mode %q", req.Mode)
 }
 
-// buildWorkload generates or parses the input matrix and schedules the
-// requested kernel on it, mirroring the CLI `run` path exactly so a job
-// submitted over HTTP computes the same workload as the equivalent local
-// run. It returns the offload, plus the kernel name used for model lookup
-// (graph kernels reuse the SpMSpV model, Section 5.2).
-func buildWorkload(req JobRequest, sc experiments.Scale) (host.Offload, string, error) {
-	var am *matrix.COO
-	var err error
+// inputMatrix parses the request's MatrixMarket upload, or generates its
+// dataset entry at the job scale.
+func inputMatrix(req JobRequest, sc experiments.Scale) (*matrix.COO, error) {
 	if req.MatrixMarket != "" {
-		am, err = matrix.ReadMatrixMarket(strings.NewReader(req.MatrixMarket))
+		am, err := matrix.ReadMatrixMarket(strings.NewReader(req.MatrixMarket))
 		if err != nil {
-			return host.Offload{}, "", fmt.Errorf("parsing matrix_market: %w", err)
+			return nil, fmt.Errorf("parsing matrix_market: %w", err)
 		}
-	} else {
-		entry, eerr := matrix.Entry(req.Matrix)
-		if eerr != nil {
-			return host.Offload{}, "", eerr
-		}
-		am = entry.Generate(sc.Matrix, sc.Seed)
+		return am, nil
 	}
-	a := am.ToCSC()
-	dim := a.Cols
-	modelKernel := req.Kernel
-	var wl kernels.Workload
-	bytesIn := host.InputBytes(a.NNZ(), dim)
-	bytesOut := 0
-	switch req.Kernel {
-	case "spmspm":
-		var out *matrix.CSR
-		out, wl, err = kernels.SpMSpM(a, am.ToCSR().Transpose(), sc.Chip.NGPE(), sc.Chip.Tiles)
-		bytesIn *= 2 // both operands stream in
-		if out != nil {
-			bytesOut = host.InputBytes(out.NNZ(), dim)
-		}
-	case "spmspv":
-		x := matrix.RandomVec(rand.New(rand.NewSource(sc.Seed+1)), dim, 0.5)
-		var y *matrix.SparseVec
-		y, wl, err = kernels.SpMSpV(a, x, sc.Chip.NGPE(), sc.Chip.Tiles)
-		bytesIn += host.InputBytes(x.NNZ(), dim)
-		if y != nil {
-			bytesOut = y.NNZ() * 12
-		}
-	case "bfs":
-		_, wl, err = graph.BFS(a, 0, sc.Chip.NGPE(), sc.Chip.Tiles)
-		bytesOut = dim * 8
-		modelKernel = "spmspv"
-	case "sssp":
-		_, wl, err = graph.SSSP(a, 0, sc.Chip.NGPE(), sc.Chip.Tiles)
-		bytesOut = dim * 8
-		modelKernel = "spmspv"
-	default:
-		return host.Offload{}, "", fmt.Errorf("unknown kernel %q", req.Kernel)
-	}
+	entry, err := matrix.Entry(req.Matrix)
 	if err != nil {
-		return host.Offload{}, "", err
+		return nil, err
 	}
-	return host.Offload{Workload: wl, BytesIn: bytesIn, BytesOut: bytesOut}, modelKernel, nil
-}
-
-// controlOptions mirrors the CLI's policy selection: hybrid with the
-// paper's 40% tolerance for SpMSpV-class workloads, conservative for
-// SpMSpM (Section 5.4), with explicit request overrides on top.
-func controlOptions(req JobRequest, modelKernel string, sc experiments.Scale) core.Options {
-	opts := core.Options{Policy: core.Hybrid, Tolerance: 0.4, EpochScale: sc.Epoch}
-	if req.Tolerance != 0 {
-		opts.Tolerance = req.Tolerance
-	}
-	if modelKernel == "spmspm" {
-		opts = core.Options{Policy: core.Conservative, EpochScale: sc.Epoch}
-	}
-	switch req.Policy {
-	case "conservative":
-		opts.Policy = core.Conservative
-	case "aggressive":
-		opts.Policy = core.Aggressive
-	case "hybrid":
-		opts.Policy = core.Hybrid
-	}
-	return opts
-}
-
-func scaleFor(name string) (experiments.Scale, error) {
-	switch name {
-	case "test":
-		return experiments.TestScale(), nil
-	case "small":
-		return experiments.SmallScale(), nil
-	case "paper":
-		return experiments.PaperScale(), nil
-	}
-	return experiments.Scale{}, fmt.Errorf("unknown scale %q", name)
-}
-
-func modeFor(name string) (power.Mode, error) {
-	switch name {
-	case "ee":
-		return power.EnergyEfficient, nil
-	case "pp":
-		return power.PowerPerformance, nil
-	}
-	return 0, fmt.Errorf("unknown opt_mode %q", name)
+	return entry.Generate(sc.Matrix, sc.Seed), nil
 }
 
 func configFor(name string) (config.Config, error) {

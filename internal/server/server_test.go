@@ -20,8 +20,9 @@ import (
 	"sparseadapt/internal/server/client"
 )
 
-// randSrc mirrors the CLI's deterministic vector RNG so the in-process
-// comparison run builds the exact workload the server builds.
+// randSrc mirrors the SpMSpV operand RNG of host.NewOffload (seed+1), so
+// the in-process comparison run builds, independently, the exact workload
+// the server builds.
 func randSrc(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed + 1)) }
 
 func powerEE() power.Mode { return power.EnergyEfficient }
@@ -60,7 +61,7 @@ func idleServer(t *testing.T, cfg server.Config) *client.Client {
 
 // TestJobLifecycleMatchesHost is the service's core guarantee: a job
 // submitted over HTTP returns a Result identical (through a JSON round
-// trip) to the equivalent in-process host.RunAdaptive call.
+// trip) to the equivalent in-process host.Runner.RunAdaptiveFull call.
 func TestJobLifecycleMatchesHost(t *testing.T) {
 	_, c := startServer(t, server.Config{Workers: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
