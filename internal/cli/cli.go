@@ -235,7 +235,7 @@ func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 	scaleName := fs.String("scale", "small", "experiment scale: test|small|paper")
 	modelPath := fs.String("model", "", "model JSON (trained on the fly when empty)")
 	policy := fs.String("policy", "", "override policy: conservative|aggressive|hybrid")
-	tolerance := fs.Float64("tolerance", experiments.DefaultTolerance, "hybrid tolerance")
+	tolerance := fs.Float64("tolerance", core.DefaultTolerance, "hybrid tolerance")
 	faultSpec := fs.String("faults", "", "fault-injection spec, e.g. nan=0.1,stuck=0.05,rc-drop=0.2,seed=7 (runs the resilient controller)")
 	ckPath := fs.String("checkpoint", "", "controller checkpoint file (written during the run; implies the resilient controller)")
 	resumeCk := fs.Bool("resume", false, "resume an interrupted run from -checkpoint")

@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -170,10 +171,19 @@ func TestRunHonorsCancellation(t *testing.T) {
 	}
 }
 
+// TestRunGraphKernels runs BFS and SSSP from vertex 0 of R04, where both
+// traverse for many epochs (from vertex 0 of R07 they stop after one step),
+// and checks that the header reports more than one epoch.
 func TestRunGraphKernels(t *testing.T) {
-	out, code := runCLI(t, "run", "-kernel", "bfs", "-matrix", "R07", "-scale", "test")
-	if code != 0 {
-		t.Fatalf("bfs run failed: %s", out)
+	for _, kernel := range []string{"bfs", "sssp"} {
+		out, code := runCLI(t, "run", "-kernel", kernel, "-matrix", "R04", "-scale", "test")
+		if code != 0 {
+			t.Fatalf("%s run failed: %s", kernel, out)
+		}
+		var epochs int
+		if _, err := fmt.Sscanf(out, "workload "+kernel+" on R04 (%d epochs", &epochs); err != nil || epochs <= 1 {
+			t.Fatalf("%s run: header reports %d epochs (%v), want more than one:\n%s", kernel, epochs, err, out)
+		}
 	}
 	if out, code := runCLI(t, "run", "-kernel", "quantum", "-scale", "test"); code == 0 {
 		t.Fatalf("unknown kernel accepted: %s", out)

@@ -22,8 +22,8 @@ func cancelledCLI(args ...string) (string, int) {
 // TestFlagViolationsExitUsage is the flag contract of every subcommand:
 // range violations, the engine flags' included, are reported all at once
 // and exit with the usage code 2. trainer.DefaultSweep reads a scale ≤ 0
-// as the full Table 3 sweep, so train and traingen must refuse one at the
-// flags; the cancelled context stops a command that does not.
+// or above 1 as the full Table 3 sweep, so train and traingen must refuse
+// one at the flags; the cancelled context stops a command that does not.
 func TestFlagViolationsExitUsage(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -38,6 +38,8 @@ func TestFlagViolationsExitUsage(t *testing.T) {
 		{[]string{"train", "-scale", "-0.5", "-out", filepath.Join(dir, "m.json")}, []string{"-scale"}},
 		{[]string{"oracle", "-samples", "0", "-workers", "-1"}, []string{"-samples", "-workers"}},
 		{[]string{"traingen", "-scale", "0", "-workers", "-1", "-csv", filepath.Join(dir, "d.csv")}, []string{"-scale", "-workers"}},
+		{[]string{"train", "-scale", "2", "-out", filepath.Join(dir, "m.json")}, []string{"-scale"}},
+		{[]string{"traingen", "-scale", "5", "-csv", filepath.Join(dir, "d.csv")}, []string{"-scale"}},
 	} {
 		out, code := cancelledCLI(tc.args...)
 		if code != 2 {

@@ -34,10 +34,11 @@ func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
 }
 
 // check adds the sweep flags' range violations to the subcommand's check.
-// trainer.DefaultSweep reads a scale ≤ 0 as the full Table 3 sweep, so a
-// zero or negative -scale is refused here.
+// trainer.DefaultSweep reads a scale ≤ 0 or above 1 as the full Table 3
+// sweep, so such a -scale is refused here.
 func (sf *sweepFlags) check(c *flagcheck.Check) {
 	c.PositiveFloat("scale", *sf.scale)
+	c.AtMostFloat("scale", *sf.scale, 1)
 }
 
 // sweep resolves the flags to the scaled Table 3 sweep and its objective.

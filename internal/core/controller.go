@@ -52,9 +52,14 @@ type Options struct {
 	EpochScale float64
 }
 
+// DefaultTolerance is the hybrid policy's threshold for SpMSpV and the
+// graph kernels that share its model: 40% of the previous epoch's time
+// (Section 5.4).
+const DefaultTolerance = 0.4
+
 // DefaultOptions returns the paper's defaults: hybrid with 40% tolerance.
 func DefaultOptions() Options {
-	return Options{Policy: Hybrid, Tolerance: 0.4, EpochScale: 1}
+	return Options{Policy: Hybrid, Tolerance: DefaultTolerance, EpochScale: 1}
 }
 
 // EpochLog records one epoch of a run for analysis and plotting (the

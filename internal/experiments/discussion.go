@@ -103,9 +103,9 @@ func HistoryAblation(sc Scale) (*Report, error) {
 			return nil, err
 		}
 		mEE := sim.New(sc.Chip, sc.BW, config.Baseline)
-		ee := core.NewHistoryController(eeEns, ControlOptions("spmspv", "", DefaultTolerance, sc.Epoch), h).Run(mEE, w)
+		ee := core.NewHistoryController(eeEns, ControlOptions("spmspv", "", core.DefaultTolerance, sc.Epoch), h).Run(mEE, w)
 		mPP := sim.New(sc.Chip, sc.BW, config.Baseline)
-		pp := core.NewHistoryController(ppEns, ControlOptions("spmspv", "", DefaultTolerance, sc.Epoch), h).Run(mPP, w)
+		pp := core.NewHistoryController(ppEns, ControlOptions("spmspv", "", core.DefaultTolerance, sc.Epoch), h).Run(mPP, w)
 		rep.Add(labelH(h),
 			ratio(ee.Total.GFLOPSPerW(), baseRun.GFLOPSPerW()),
 			float64(ee.Reconfig),

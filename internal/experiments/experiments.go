@@ -296,11 +296,6 @@ func buildSpMSpV(sc Scale, id string) (kernels.Workload, error) {
 	return w, nil
 }
 
-// DefaultTolerance is the hybrid policy's threshold for SpMSpV and the
-// graph kernels that share its model: 40% of the previous epoch's time
-// (Section 5.4).
-const DefaultTolerance = 0.4
-
 // ControlOptions returns the control options of a run whose model is
 // kernel's. The default is the paper's policy (Section 5.4): conservative
 // for SpMSpM, hybrid at tolerance otherwise. A non-empty policy name
@@ -333,7 +328,7 @@ func runSparseAdapt(sc Scale, w kernels.Workload, kernel string, l1Type int, mod
 	}
 	start := startConfig(l1Type)
 	m := sim.New(sc.Chip, sc.BW, start)
-	ctl := core.NewController(ens, ControlOptions(kernel, "", DefaultTolerance, sc.Epoch))
+	ctl := core.NewController(ens, ControlOptions(kernel, "", core.DefaultTolerance, sc.Epoch))
 	return ctl.Run(m, w), nil
 }
 

@@ -273,7 +273,7 @@ func Table6(sc Scale) (*Report, error) {
 			base := core.RunStatic(sc.Chip, sc.BW, config.Baseline, w, sc.Epoch).Total
 			best := core.RunStatic(sc.Chip, sc.BW, config.BestAvgCache, w, sc.Epoch).Total
 			m := sim.New(sc.Chip, sc.BW, config.Baseline)
-			sa := core.NewController(ens, ControlOptions("spmspv", "", DefaultTolerance, sc.Epoch)).Run(m, w)
+			sa := core.NewController(ens, ControlOptions("spmspv", "", core.DefaultTolerance, sc.Epoch)).Run(m, w)
 			// TEPS/W = traversed / energy; traversed cancels in the gain.
 			bestGain := ratio(base.EnergyJ, best.EnergyJ)
 			saGain := ratio(base.EnergyJ, sa.Total.EnergyJ)

@@ -86,7 +86,7 @@ func Figure9(sc Scale) (*Report, error) {
 			var vals []float64
 			for _, ref := range refs {
 				m := sim.New(sc.Chip, sc.BW, config.Baseline)
-				ctl := core.NewController(ens, ControlOptions("spmspv", "", DefaultTolerance, sc.Epoch))
+				ctl := core.NewController(ens, ControlOptions("spmspv", "", core.DefaultTolerance, sc.Epoch))
 				res := ctl.Run(m, ref.w)
 				vals = append(vals,
 					ratio(res.Total.GFLOPS(), ref.base.GFLOPS()),

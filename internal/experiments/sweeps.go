@@ -86,7 +86,7 @@ func Figure11Bandwidth(sc Scale) (*Report, error) {
 		base := core.RunStatic(sc.Chip, bw, config.Baseline, w, sc.Epoch).Total
 		best := core.RunStatic(sc.Chip, bw, config.BestAvgCache, w, sc.Epoch).Total
 		m := sim.New(sc.Chip, bw, config.Baseline)
-		res := core.NewController(ens, ControlOptions("spmspv", "", DefaultTolerance, sc.Epoch)).Run(m, w)
+		res := core.NewController(ens, ControlOptions("spmspv", "", core.DefaultTolerance, sc.Epoch)).Run(m, w)
 		rep.Add(fmt.Sprintf("%gGB/s", bwGB),
 			ratio(res.Total.GFLOPSPerW(), base.GFLOPSPerW()),
 			ratio(res.Total.GFLOPSPerW(), best.GFLOPSPerW()))
@@ -124,7 +124,7 @@ func Figure12(sc Scale) (*Report, error) {
 			}
 			base := core.RunStatic(chip, sc.BW, config.Baseline, w, sc.Epoch).Total
 			m := sim.New(chip, sc.BW, config.Baseline)
-			res := core.NewController(ens, ControlOptions("spmspm", "", DefaultTolerance, sc.Epoch)).Run(m, w)
+			res := core.NewController(ens, ControlOptions("spmspm", "", core.DefaultTolerance, sc.Epoch)).Run(m, w)
 			vals = append(vals, ratio(res.Total.GFLOPSPerW(), base.GFLOPSPerW()))
 		}
 		vals = append(vals, geomean(vals))

@@ -51,6 +51,13 @@ func (c *Check) PositiveFloat(name string, v float64) {
 	}
 }
 
+// AtMostFloat requires v <= max.
+func (c *Check) AtMostFloat(name string, v, max float64) {
+	if v > max {
+		c.fail("-%s must be at most %g, got %g", name, max, v)
+	}
+}
+
 // NonNegativeFloat requires v >= 0.
 func (c *Check) NonNegativeFloat(name string, v float64) {
 	if v < 0 {

@@ -12,6 +12,7 @@ func TestCheckAccumulates(t *testing.T) {
 	c.NonNegative("workers", -1)
 	c.PositiveInt64("max-body", -5)
 	c.PositiveFloat("scale", 0)
+	c.AtMostFloat("sweep", 2, 1)
 	c.NonNegativeFloat("rate", -0.5)
 	c.PositiveDuration("job-timeout", 0)
 	c.NonNegativeDuration("timeout", -time.Second)
@@ -21,7 +22,7 @@ func TestCheckAccumulates(t *testing.T) {
 	if err == nil {
 		t.Fatal("all-violations check returned nil")
 	}
-	for _, flag := range []string{"-queue", "-workers", "-max-body", "-scale", "-rate", "-job-timeout", "-timeout", "-dataflow", "-format"} {
+	for _, flag := range []string{"-queue", "-workers", "-max-body", "-scale", "-sweep", "-rate", "-job-timeout", "-timeout", "-dataflow", "-format"} {
 		if !strings.Contains(err.Error(), flag) {
 			t.Errorf("joined error does not name %s: %v", flag, err)
 		}
@@ -34,6 +35,7 @@ func TestCheckPasses(t *testing.T) {
 	c.NonNegative("workers", 0)
 	c.PositiveInt64("max-body", 8<<20)
 	c.PositiveFloat("scale", 0.3)
+	c.AtMostFloat("sweep", 1, 1)
 	c.NonNegativeFloat("rate", 0)
 	c.PositiveDuration("job-timeout", time.Minute)
 	c.NonNegativeDuration("timeout", 0)

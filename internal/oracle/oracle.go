@@ -139,7 +139,7 @@ func plan(chip power.Chip, bw float64, src *kernels.Source, epochScale float64, 
 // as sim.RunMemo keys hash it), the chip, the bandwidth and the
 // configuration.
 func rowKey(tr *sim.Trace, grid uint64, chip power.Chip, bw float64, cfg config.Config) engine.Key {
-	return engine.NewHasher("sparseadapt/oracle-row/v2").
+	return engine.NewHasher("sparseadapt/oracle-row/v3").
 		U64(tr.Fingerprint()).U64(grid).
 		Int(chip.Tiles, chip.GPEsPerTile).F64(bw).
 		Int(cfg.Index()).Sum()

@@ -205,7 +205,7 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResu
 	// field; the CLI's -tolerance 0 means zero tolerance.
 	tol := req.Tolerance
 	if tol == 0 {
-		tol = experiments.DefaultTolerance
+		tol = core.DefaultTolerance
 	}
 	opts := experiments.ControlOptions(modelKernel, req.Policy, tol, sc.Epoch)
 

@@ -446,7 +446,7 @@ func (m *Machine) RunEpoch(ep EpochRange) EpochResult {
 	// to the original event-by-event walk.
 	agg := m.trace.epochAggFor(ep)
 	for i, n := range agg.baseCyc {
-		m.cyc[i] += int64(n)
+		m.cyc[i] += n
 	}
 	events := m.trace.Events
 	for _, idx := range agg.mem {

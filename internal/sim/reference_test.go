@@ -431,18 +431,24 @@ func (m *referenceMachine) runEpoch(ep EpochRange) EpochResult {
 
 	nGPE := m.chip.NGPE()
 	for _, e := range m.trace.Events[ep.Start:ep.End] {
+		// A KInt event is a run of Addr integer operations of one cycle
+		// each; every other event is one operation.
+		ops := 1
+		if e.Kind == KInt {
+			ops = int(e.Addr)
+		}
 		if int(e.Core) < nGPE {
-			m.gpeInstr++
+			m.gpeInstr += ops
 			if e.Kind.IsFP() {
 				m.gpeFP++
 			}
 		} else {
-			m.lcpInstr++
+			m.lcpInstr += ops
 		}
 		if e.Kind.IsMem() {
 			m.cyc[e.Core] += int64(m.memAccess(e))
 		} else {
-			m.cyc[e.Core]++
+			m.cyc[e.Core] += int64(ops)
 		}
 	}
 	m.epCnt.GPEInstrs = m.gpeInstr
@@ -1002,9 +1008,10 @@ func TestReplayMatchesReference(t *testing.T) {
 
 // FuzzReplayMatchesReference decodes a chip, a configuration, an epoch
 // size, a raw event stream (any address, core, kind and static
-// instruction) with two reuse regions, and a per-epoch schedule of
-// reconfigurations, context switches and penalties, and requires Machine
-// to replay it as the reference machine does.
+// instruction, and KInt runs from one operation up to 2³²−1) with two
+// reuse regions, and a per-epoch schedule of reconfigurations, context
+// switches and penalties, and requires Machine to replay it as the
+// reference machine does.
 func FuzzReplayMatchesReference(f *testing.F) {
 	f.Add([]byte{0x12, 0x00, 0x00, 0x00, 5, 3, 0x10, 0x20, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{0x27, 0x35, 0x91, 0x4c, 2, 9, 0xff, 0xff, 0xfe, 0x81, 0x13, 0x77, 0x00, 0x42, 0x99, 0xa5, 0x3c, 0x0f, 0xf0, 0x5a, 0x7e})
@@ -1028,7 +1035,9 @@ func FuzzReplayMatchesReference(f *testing.F) {
 
 		// A run of events per record: base address, stride, core, kind and
 		// length come from five bytes, so a short input still spans many
-		// lines and sets.
+		// lines and sets. A KInt record's events carry a run length
+		// instead of an address: 1+a, or 2³²−1−a when the stride's top
+		// bit is set.
 		nRec := 1 + int(next())%48
 		hot := Region{Name: "hot", Lo: uint32(next()) << 10, Kind: RegionReuse}
 		hot.Hi = hot.Lo + uint32(next())<<8 + LineSize
@@ -1044,6 +1053,12 @@ func FuzzReplayMatchesReference(f *testing.F) {
 			}
 			step := uint32(int8(s)) * 8
 			kind := EventKind(k % 6)
+			if kind == KInt {
+				addr, step = 1+uint32(a), 0
+				if s&0x80 != 0 {
+					addr = math.MaxUint32 - uint32(a)
+				}
+			}
 			for i := 0; i < 2+int(k>>3)%24; i++ {
 				tr.Events = append(tr.Events, Event{Addr: addr, PC: uint16(k & 7), Core: core, Kind: kind})
 				if kind.IsFP() {

@@ -257,7 +257,7 @@ func GenerateEngine(ctx context.Context, eng *engine.Engine, sw SweepSpec, mode 
 		if err != nil {
 			return nil, err
 		}
-		key := engine.NewHasher("sparseadapt/trainer-point/v2").
+		key := engine.NewHasher("sparseadapt/trainer-point/v3").
 			Str(sw.Kernel).Str(sw.PinDataflow).Str(sw.PinFormat).
 			Int(sw.L1Type, int(mode), h).
 			Int(sw.Chip.Tiles, sw.Chip.GPEsPerTile).
