@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -35,6 +36,32 @@ func TestIndexRoundTripExhaustive(t *testing.T) {
 		}
 		if got := c.Index(); got != i {
 			t.Fatalf("Index(FromIndex(%d)) = %d", i, got)
+		}
+	}
+}
+
+// TestStringMatchesFmtExhaustive walks the entire space: String must
+// render every configuration exactly as the fmt-based text that epoch
+// records, goldens and job digests were pinned with.
+func TestStringMatchesFmtExhaustive(t *testing.T) {
+	mode := func(shared bool) string {
+		if shared {
+			return "shr"
+		}
+		return "prv"
+	}
+	for i, n := 0, SpaceSize(); i < n; i++ {
+		c := FromIndex(i)
+		l1 := "cache"
+		if c.L1IsSPM() {
+			l1 = "spm"
+		}
+		want := fmt.Sprintf("%s L1:%dkB/%s L2:%dkB/%s %gMHz pf%d %s/%s/%s", l1,
+			c.L1CapKB(), mode(c.L1Shared()), c.L2CapKB(), mode(c.L2Shared()),
+			c.ClockMHz(), c.PrefetchDegree(),
+			c.DataflowName(), c.FormatName(), c.SchedName())
+		if got := c.String(); got != want {
+			t.Fatalf("config %d: String() = %q, want %q", i, got, want)
 		}
 	}
 }

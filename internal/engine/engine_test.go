@@ -103,6 +103,9 @@ func TestMapPanicBecomesError(t *testing.T) {
 }
 
 // TestMapContextCancel verifies an external cancellation stops the batch.
+// Every task after the first waits for the cancellation before it
+// finishes, so no worker can complete the batch before cancel runs; Map
+// returns nil here only if it ignores the cancellation.
 func TestMapContextCancel(t *testing.T) {
 	e := New(Options{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -114,6 +117,8 @@ func TestMapContextCancel(t *testing.T) {
 		tasks[i] = Task[int]{Compute: func(ctx context.Context) (int, error) {
 			if i == 0 {
 				cancel()
+			} else {
+				<-ctx.Done()
 			}
 			done.Add(1)
 			return i, nil
