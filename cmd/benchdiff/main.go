@@ -12,8 +12,8 @@
 // Comparison is warn-only by default (exit 0) because single-run CI
 // benchmark numbers are noisy; -fail turns time regressions into a non-zero
 // exit for local use. Warning lines are prefixed with the benchmark's
-// subsystem group ([engine], [sim], [obs], [tenant], [ml], [figure]) so CI logs
-// are greppable per subsystem.
+// subsystem group ([engine], [sim], [obs], [tenant], [ml], [matrix],
+// [figure]) so CI logs are greppable per subsystem.
 //
 // Allocation counts (allocs/op, requires -benchmem in the run) are compared
 // exactly like times but against a tighter bar: they are deterministic, so
@@ -78,6 +78,8 @@ func group(name string) string {
 		return "tenant"
 	case strings.HasPrefix(name, "BenchmarkTrain"):
 		return "ml"
+	case strings.HasPrefix(name, "BenchmarkParseMatrixMarket"), strings.HasPrefix(name, "BenchmarkCOO"):
+		return "matrix"
 	default:
 		return "figure"
 	}

@@ -83,6 +83,8 @@ func TestGroupNames(t *testing.T) {
 		"BenchmarkSimRunEpoch":                  "sim",
 		"BenchmarkSimReplay/spmspv/spm":         "sim",
 		"BenchmarkTrainEnsemble":                "ml",
+		"BenchmarkParseMatrixMarket/parser":     "matrix",
+		"BenchmarkCOOToCSC/reference":           "matrix",
 		"BenchmarkCounterAdd":                   "obs",
 		"BenchmarkGoldenDigest":                 "obs",
 		"BenchmarkFigure8":                      "figure",

@@ -85,7 +85,7 @@ func cmdSubmit(ctx context.Context, w io.Writer, args []string) error {
 		return err
 	}
 	fmt.Fprintf(w, "job %s %s (%s %s on %s, scale %s)\n",
-		st.ID, st.State, st.Request.Mode, st.Request.Kernel, matrixLabel(st.Request), st.Request.Scale)
+		st.ID, st.State, st.Request.Mode, st.Request.Kernel, matrixLabel(st), st.Request.Scale)
 	if !*follow {
 		return nil
 	}
@@ -131,11 +131,13 @@ func cmdSubmit(ctx context.Context, w io.Writer, args []string) error {
 	return printFinal(w, *final)
 }
 
-func matrixLabel(req server.JobRequest) string {
-	if req.MatrixMarket != "" {
-		return "uploaded matrix"
+// matrixLabel names a job's input: its dataset entry, or an upload by
+// the size the status echoes in place of the body.
+func matrixLabel(st server.JobStatus) string {
+	if st.UploadBytes > 0 {
+		return fmt.Sprintf("uploaded matrix of %d bytes", st.UploadBytes)
 	}
-	return req.Matrix
+	return st.Request.Matrix
 }
 
 func printFinal(w io.Writer, st server.JobStatus) error {

@@ -14,6 +14,7 @@ package config
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -208,25 +209,42 @@ func (c Config) FormatName() string { return formatNames[c[Format]] }
 func (c Config) SchedName() string { return schedNames[c[SchedPolicy]] }
 
 // String renders the configuration compactly, e.g.
-// "cache L1:4kB/shr L2:64kB/prv 500MHz pf8 outer/csc/rr".
+// "cache L1:4kB/shr L2:64kB/prv 500MHz pf8 outer/csc/rr". The clock is
+// written as fmt's %g writes it.
 func (c Config) String() string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	if c.L1IsSPM() {
-		b.WriteString("spm ")
+		b = append(b, "spm L1:"...)
 	} else {
-		b.WriteString("cache ")
+		b = append(b, "cache L1:"...)
 	}
-	mode := func(shared bool) string {
-		if shared {
-			return "shr"
-		}
-		return "prv"
+	b = strconv.AppendInt(b, int64(c.L1CapKB()), 10)
+	b = append(b, "kB/"...)
+	b = append(b, shareName(c.L1Shared())...)
+	b = append(b, " L2:"...)
+	b = strconv.AppendInt(b, int64(c.L2CapKB()), 10)
+	b = append(b, "kB/"...)
+	b = append(b, shareName(c.L2Shared())...)
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, c.ClockMHz(), 'g', -1, 64)
+	b = append(b, "MHz pf"...)
+	b = strconv.AppendInt(b, int64(c.PrefetchDegree()), 10)
+	b = append(b, ' ')
+	b = append(b, c.DataflowName()...)
+	b = append(b, '/')
+	b = append(b, c.FormatName()...)
+	b = append(b, '/')
+	b = append(b, c.SchedName()...)
+	return string(b)
+}
+
+// shareName is the short name String gives a shared or private layer.
+func shareName(shared bool) string {
+	if shared {
+		return "shr"
 	}
-	fmt.Fprintf(&b, "L1:%dkB/%s L2:%dkB/%s %gMHz pf%d %s/%s/%s",
-		c.L1CapKB(), mode(c.L1Shared()), c.L2CapKB(), mode(c.L2Shared()),
-		c.ClockMHz(), c.PrefetchDegree(),
-		c.DataflowName(), c.FormatName(), c.SchedName())
-	return b.String()
+	return "prv"
 }
 
 // SpaceSize returns the total number of configurations: 3600 hardware

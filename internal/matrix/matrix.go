@@ -11,6 +11,7 @@ package matrix
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -90,81 +91,78 @@ func (m *CSC) Col(c int) (rows []int, vals []float64) {
 	return m.RowIdx[lo:hi], m.Val[lo:hi]
 }
 
+// cooEntry is one COO entry keyed for compression: maj is its row in a
+// row-major (CSR) compression and its column in a column-major (CSC) one.
 type cooEntry struct {
-	r, c int
-	v    float64
+	maj, min int
+	v        float64
 }
 
-// compress sorts COO entries in (major, minor) order and merges duplicates.
-func compress(m *COO, rowMajor bool) []cooEntry {
-	es := make([]cooEntry, len(m.V))
-	for i := range m.V {
-		es[i] = cooEntry{m.R[i], m.C[i], m.V[i]}
+// cmpEntry orders entries by (major, minor). cmpEntry(a, b) < 0 exactly
+// when a sorts before b, so pdqsort compares as it did under sort.Slice
+// with the same less.
+func cmpEntry(a, b cooEntry) int {
+	switch {
+	case a.maj < b.maj:
+		return -1
+	case a.maj > b.maj:
+		return 1
+	case a.min < b.min:
+		return -1
+	case a.min > b.min:
+		return 1
 	}
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if rowMajor {
-			if a.r != b.r {
-				return a.r < b.r
-			}
-			return a.c < b.c
-		}
-		if a.c != b.c {
-			return a.c < b.c
-		}
-		return a.r < b.r
-	})
+	return 0
+}
+
+// compress sorts m's entries in (major, minor) order, sums duplicates and
+// returns the pointer, index and value arrays of the row-major (CSR) or
+// column-major (CSC) form. slices.SortFunc runs the same pdqsort as
+// sort.Slice, so equal coordinates meet in the same order and their sums
+// keep their bits; a stable sort would add a run of three or more in
+// input order and change them.
+func compress(m *COO, rowMajor bool) (ptr, idx []int, val []float64) {
+	major, majors, minors := m.Cols, m.C, m.R
+	if rowMajor {
+		major, majors, minors = m.Rows, m.R, m.C
+	}
+	es := make([]cooEntry, len(m.V))
+	for i, v := range m.V {
+		es[i] = cooEntry{majors[i], minors[i], v}
+	}
+	slices.SortFunc(es, cmpEntry)
 	out := es[:0]
 	for _, e := range es {
-		if n := len(out); n > 0 && out[n-1].r == e.r && out[n-1].c == e.c {
+		if n := len(out); n > 0 && out[n-1].maj == e.maj && out[n-1].min == e.min {
 			out[n-1].v += e.v
 			continue
 		}
 		out = append(out, e)
 	}
-	return out
+	ptr = make([]int, major+1)
+	idx = make([]int, len(out))
+	val = make([]float64, len(out))
+	for i, e := range out {
+		ptr[e.maj+1]++
+		idx[i] = e.min
+		val[i] = e.v
+	}
+	for k := 0; k < major; k++ {
+		ptr[k+1] += ptr[k]
+	}
+	return ptr, idx, val
 }
 
 // ToCSR converts the COO matrix to CSR form, summing duplicates.
 func (m *COO) ToCSR() *CSR {
-	es := compress(m, true)
-	out := &CSR{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		RowPtr: make([]int, m.Rows+1),
-		ColIdx: make([]int, len(es)),
-		Val:    make([]float64, len(es)),
-	}
-	for i, e := range es {
-		out.RowPtr[e.r+1]++
-		out.ColIdx[i] = e.c
-		out.Val[i] = e.v
-	}
-	for r := 0; r < m.Rows; r++ {
-		out.RowPtr[r+1] += out.RowPtr[r]
-	}
-	return out
+	ptr, idx, val := compress(m, true)
+	return &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: ptr, ColIdx: idx, Val: val}
 }
 
 // ToCSC converts the COO matrix to CSC form, summing duplicates.
 func (m *COO) ToCSC() *CSC {
-	es := compress(m, false)
-	out := &CSC{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		ColPtr: make([]int, m.Cols+1),
-		RowIdx: make([]int, len(es)),
-		Val:    make([]float64, len(es)),
-	}
-	for i, e := range es {
-		out.ColPtr[e.c+1]++
-		out.RowIdx[i] = e.r
-		out.Val[i] = e.v
-	}
-	for c := 0; c < m.Cols; c++ {
-		out.ColPtr[c+1] += out.ColPtr[c]
-	}
-	return out
+	ptr, idx, val := compress(m, false)
+	return &CSC{Rows: m.Rows, Cols: m.Cols, ColPtr: ptr, RowIdx: idx, Val: val}
 }
 
 // ToCOO expands the CSR matrix back to coordinate form.

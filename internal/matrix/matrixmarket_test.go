@@ -2,7 +2,11 @@ package matrix
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,4 +127,120 @@ func TestQuickMatrixMarketRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestParseMatrixMarketDimensionCap checks the size cap: a body may
+// declare MaxDim rows and columns but not one more, so a short body
+// cannot make a compression allocate a pointer array of any size.
+func TestParseMatrixMarketDimensionCap(t *testing.T) {
+	const hdr = "%%MatrixMarket matrix coordinate real general\n"
+	m, err := ParseMatrixMarket(hdr + fmt.Sprintf("%d %d 1\n%d 1 2\n", MaxDim, MaxDim, MaxDim))
+	if err != nil {
+		t.Fatalf("body at the cap refused: %v", err)
+	}
+	if m.Rows != MaxDim || m.Cols != MaxDim || m.NNZ() != 1 || m.R[0] != MaxDim-1 {
+		t.Fatalf("body at the cap parsed as %dx%d with %d entries", m.Rows, m.Cols, m.NNZ())
+	}
+	for _, size := range []string{
+		fmt.Sprintf("%d 1 1", MaxDim+1),
+		fmt.Sprintf("1 %d 1", MaxDim+1),
+		"1099511627776 1099511627776 1",
+	} {
+		_, err := ParseMatrixMarket(hdr + size + "\n1 1 1\n")
+		if !errors.Is(err, errTooLarge) {
+			t.Errorf("size line %q: error %v, want the dimension cap", size, err)
+		}
+	}
+}
+
+// TestParseMatrixMarketPresizeBounded declares far more entries than the
+// body holds: the parser must size its COO from the body, not from the
+// declared count.
+func TestParseMatrixMarketPresizeBounded(t *testing.T) {
+	in := "%%MatrixMarket matrix coordinate real general\n2 2 4194304\n1 1 1\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParseMatrixMarket(in)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "expected 4194304 entries, got 1") {
+		t.Fatalf("error %v, want a short-count error", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("parsing a %d-byte body allocated %d bytes", len(in), n)
+	}
+}
+
+// TestParseMatrixMarketAllocsFlat checks the parser allocates per body,
+// not per entry: a hundredfold longer body costs no more allocations.
+func TestParseMatrixMarketAllocsFlat(t *testing.T) {
+	small, large := uploadBody(1, 200, 50), uploadBody(1, 2000, 5000)
+	count := func(in string) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ParseMatrixMarket(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := count(small), count(large); b > a {
+		t.Errorf("allocations grew with the body: %v for 50 entries, %v for 5000", a, b)
+	}
+}
+
+// uploadBody renders a seeded dim×dim uniform matrix of about nnz entries
+// with values rounded to eighths, the form daemon uploads take.
+func uploadBody(seed int64, dim, nnz int) string {
+	m := Uniform(rand.New(rand.NewSource(seed)), dim, dim, nnz)
+	for i, v := range m.V {
+		m.V[i] = math.Round(v*8) / 8
+	}
+	var b strings.Builder
+	if err := WriteMatrixMarket(&b, m); err != nil {
+		panic(err)
+	}
+	return b.String()
+}
+
+// The microbenchmarks run on an upload shaped like a median job of the
+// daemon-fresh benchmark workload: about 5,500 entries in 77 KB. Each has
+// the reference as a sub-benchmark, so one run shows both sides.
+
+func BenchmarkParseMatrixMarket(b *testing.B) {
+	in := uploadBody(1, 2000, 5500)
+	b.Run("parser", func(b *testing.B) {
+		b.SetBytes(int64(len(in)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ParseMatrixMarket(in); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.SetBytes(int64(len(in)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := referenceReadMatrixMarket(strings.NewReader(in)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkCOOToCSC(b *testing.B) {
+	m, err := ParseMatrixMarket(uploadBody(1, 2000, 5500))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("slices", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.ToCSC()
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			referenceCompressed(m, false)
+		}
+	})
 }

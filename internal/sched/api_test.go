@@ -45,3 +45,25 @@ func TestJobFingerprintCoversEveryInput(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeJobRequestRefusesBadUploads: an upload the job could not run
+// is refused when the request is decoded, as Validate promises for any
+// failure knowable at submission. The bodies are a malformed entry, which
+// would otherwise burn every retry before quarantine, and a size line
+// above matrix.MaxDim, which would make the job's compression ask for an
+// 8 TiB pointer array.
+func TestDecodeJobRequestRefusesBadUploads(t *testing.T) {
+	for name, body := range map[string]string{
+		"malformed-entry": `{"mode":"static","matrix_market":"%%MatrixMarket matrix coordinate real general\n2 2 1\nx y z\n"}`,
+		"huge-size":       `{"mode":"static","matrix_market":"%%MatrixMarket matrix coordinate real general\n1099511627776 1099511627776 1\n1 1 1\n"}`,
+		"not-mm":          `{"mode":"static","matrix_market":"1 1 1\n"}`,
+	} {
+		if _, err := DecodeJobRequest([]byte(body)); err == nil {
+			t.Errorf("%s: accepted %s", name, body)
+		}
+	}
+	ok := `{"mode":"static","matrix_market":"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n"}`
+	if _, err := DecodeJobRequest([]byte(ok)); err != nil {
+		t.Errorf("valid upload refused: %v", err)
+	}
+}

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"sync"
 	"time"
 
@@ -20,6 +22,11 @@ type Job struct {
 	req       JobRequest
 	requestID string
 	created   time.Time
+	// echo is req without its upload, which uploadBytes and uploadSHA256
+	// stand for in every status.
+	echo         JobRequest
+	uploadBytes  int
+	uploadSHA256 string
 
 	mu        sync.Mutex
 	state     string
@@ -38,9 +45,15 @@ type Job struct {
 }
 
 func newJob(id string, req JobRequest, requestID string, now time.Time) *Job {
-	j := &Job{id: id, req: req, requestID: requestID, created: now,
+	j := &Job{id: id, req: req, requestID: requestID, created: now, echo: req,
 		state: StateQueued, cancelCh: make(chan struct{}),
 		events: newEventLog(requestID)}
+	if req.MatrixMarket != "" {
+		sum := sha256.Sum256([]byte(req.MatrixMarket))
+		j.echo.MatrixMarket = ""
+		j.uploadBytes = len(req.MatrixMarket)
+		j.uploadSHA256 = hex.EncodeToString(sum[:])
+	}
 	j.events.append(Event{Type: "state", State: StateQueued})
 	return j
 }
@@ -51,7 +64,7 @@ func (j *Job) ID() string { return j.id }
 // RequestID returns the submission's trace identifier (X-Request-ID).
 func (j *Job) RequestID() string { return j.requestID }
 
-// Request returns the validated job request.
+// Request returns the validated job request, upload included.
 func (j *Job) Request() JobRequest { return j.req }
 
 // Events returns the job's append-only event log for SSE subscribers.
@@ -66,7 +79,8 @@ func (j *Job) Status() JobStatus {
 
 func (j *Job) statusLocked() JobStatus {
 	return JobStatus{
-		ID: j.id, State: j.state, Request: j.req,
+		ID: j.id, State: j.state, Request: j.echo,
+		UploadBytes: j.uploadBytes, UploadSHA256: j.uploadSHA256,
 		CreatedAt: j.created, StartedAt: j.started, FinishedAt: j.finished,
 		RequestID: j.requestID, Error: j.errMsg, Result: j.result,
 		CacheHit: j.cacheHit, Attempts: j.attempts, Recovered: j.recovered,

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 )
@@ -191,3 +193,28 @@ var errTest = errForTest{}
 type errForTest struct{}
 
 func (errForTest) Error() string { return "injected test failure" }
+
+// TestStatusEchoesUploadDigest: a status carries the request without its
+// upload, plus the upload's size and SHA-256, while the job keeps the
+// full request for the journal, the fingerprint and forwarding.
+func TestStatusEchoesUploadDigest(t *testing.T) {
+	const mm = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n"
+	req := JobRequest{Mode: ModeStatic, MatrixMarket: mm}
+	j := newJob("job-000001", req, "rid-1", time.Now())
+	if j.Request() != req {
+		t.Fatalf("job request = %+v, want the full request", j.Request())
+	}
+	st := j.Status()
+	want := req
+	want.MatrixMarket = ""
+	if st.Request != want {
+		t.Errorf("status request = %+v, want %+v", st.Request, want)
+	}
+	sum := sha256.Sum256([]byte(mm))
+	if st.UploadBytes != len(mm) || st.UploadSHA256 != hex.EncodeToString(sum[:]) {
+		t.Errorf("status upload = %d bytes %q, want %d bytes %x", st.UploadBytes, st.UploadSHA256, len(mm), sum)
+	}
+	if d := newJob("job-000002", JobRequest{Matrix: "R04"}, "rid-2", time.Now()).Status(); d.UploadBytes != 0 || d.UploadSHA256 != "" {
+		t.Errorf("dataset job status carries an upload: %d bytes %q", d.UploadBytes, d.UploadSHA256)
+	}
+}

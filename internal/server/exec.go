@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"sparseadapt/internal/config"
 	"sparseadapt/internal/core"
@@ -267,7 +266,7 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResu
 // dataset entry at the job scale.
 func inputMatrix(req JobRequest, sc experiments.Scale) (*matrix.COO, error) {
 	if req.MatrixMarket != "" {
-		am, err := matrix.ReadMatrixMarket(strings.NewReader(req.MatrixMarket))
+		am, err := matrix.ParseMatrixMarket(req.MatrixMarket)
 		if err != nil {
 			return nil, fmt.Errorf("parsing matrix_market: %w", err)
 		}

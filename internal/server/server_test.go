@@ -1,7 +1,12 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -274,7 +279,9 @@ func TestOversizedUploadRejected(t *testing.T) {
 	}
 }
 
-// TestMatrixMarketUpload runs a job on an uploaded matrix body.
+// TestMatrixMarketUpload runs a job on an uploaded matrix body; the
+// terminal status of its SSE result event echoes the upload's size and
+// digest, not the body.
 func TestMatrixMarketUpload(t *testing.T) {
 	_, c := startServer(t, server.Config{Workers: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -284,6 +291,102 @@ func TestMatrixMarketUpload(t *testing.T) {
 	final := submitAndWait(t, ctx, c, server.JobRequest{Mode: "static", MatrixMarket: mm})
 	if final.Result.Epochs == 0 {
 		t.Error("uploaded-matrix job produced no epochs")
+	}
+	sum := sha256.Sum256([]byte(mm))
+	if final.Request.MatrixMarket != "" || final.UploadBytes != len(mm) || final.UploadSHA256 != hex.EncodeToString(sum[:]) {
+		t.Errorf("result status echoes upload %d bytes %q (body %d bytes), want %d bytes %x",
+			final.UploadBytes, final.UploadSHA256, len(final.Request.MatrixMarket), len(mm), sum)
+	}
+}
+
+// TestBadUploadRefusedAtTheDoor posts uploads no job could run to a
+// server whose worker pool never starts, so nothing can execute them: a
+// malformed entry and a size above matrix.MaxDim must each get a 400,
+// counted as a bad request, and a valid upload after them a 202.
+func TestBadUploadRefusedAtTheDoor(t *testing.T) {
+	c := idleServer(t, server.Config{})
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for name, body := range map[string]string{
+		"malformed-entry": `{"mode":"static","matrix_market":"%%MatrixMarket matrix coordinate real general\n2 2 1\nx y z\n"}`,
+		"huge-size":       `{"mode":"static","matrix_market":"%%MatrixMarket matrix coordinate real general\n1099511627776 1099511627776 1\n1 1 1\n"}`,
+	} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+		}
+	}
+	metrics, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(metrics, "\nserver_bad_requests_total 2\n") {
+		t.Error("the two refusals are not counted in server_bad_requests_total")
+	}
+	if code := post(`{"mode":"static","matrix_market":"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n"}`); code != http.StatusAccepted {
+		t.Errorf("valid upload: status %d, want 202", code)
+	}
+}
+
+// TestStatusEchoOmitsUpload checks every status the server writes for a
+// queued upload job (the 202, GET, the list, DELETE and the SSE error
+// event of the cancellation) echoes the upload's digest, not its body.
+func TestStatusEchoOmitsUpload(t *testing.T) {
+	c := idleServer(t, server.Config{})
+	mm := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.5\n2 1 -2\n"
+	sum := sha256.Sum256([]byte(mm))
+	digest := hex.EncodeToString(sum[:])
+	send := func(method, path string, body []byte) []byte {
+		t.Helper()
+		req, err := http.NewRequest(method, c.Base+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	reqBody, err := json.Marshal(server.JobRequest{Mode: "static", MatrixMarket: mm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := send(http.MethodPost, "/v1/jobs", reqBody)
+	var st server.JobStatus
+	if err := json.Unmarshal(submitted, &st); err != nil {
+		t.Fatalf("decoding the 202: %v\n%s", err, submitted)
+	}
+	if st.UploadBytes != len(mm) || st.UploadSHA256 != digest {
+		t.Errorf("202 echoes %d bytes %q, want %d bytes %s", st.UploadBytes, st.UploadSHA256, len(mm), digest)
+	}
+	for _, resp := range []struct {
+		name string
+		body []byte
+	}{
+		{"submit", submitted},
+		{"get", send(http.MethodGet, "/v1/jobs/"+st.ID, nil)},
+		{"list", send(http.MethodGet, "/v1/jobs", nil)},
+		{"cancel", send(http.MethodDelete, "/v1/jobs/"+st.ID, nil)},
+		{"events", send(http.MethodGet, "/v1/jobs/"+st.ID+"/events", nil)},
+	} {
+		if bytes.Contains(resp.body, []byte("matrix_market")) || bytes.Contains(resp.body, []byte("1 1 1.5")) {
+			t.Errorf("%s echoes the upload body:\n%s", resp.name, resp.body)
+		}
+		if !bytes.Contains(resp.body, []byte(digest)) {
+			t.Errorf("%s lacks the upload digest:\n%s", resp.name, resp.body)
+		}
 	}
 }
 
