@@ -441,11 +441,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The tenant rides in the body's "tenant" field or the X-Tenant-ID
 	// header; the field wins so coordinator→worker forwarding (which
 	// re-serializes the body) preserves it. A header-sourced tenant goes
-	// back through Validate for the same name rules and priority default.
+	// through the same name rules and priority default.
 	if req.Tenant == "" {
 		if hdr := r.Header.Get("X-Tenant-ID"); hdr != "" {
 			req.Tenant = hdr
-			if err := req.Validate(); err != nil {
+			if err := req.ValidateTenant(); err != nil {
 				s.met.badRequest.Inc()
 				writeError(w, http.StatusBadRequest, "%v", err)
 				return
