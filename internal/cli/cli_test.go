@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sparseadapt/internal/server"
 )
 
 func runCLI(t *testing.T, args ...string) (string, int) {
@@ -268,5 +271,27 @@ func TestTraingenMatchesTrain(t *testing.T) {
 		if len(a) == 0 || !bytes.Equal(a, b) {
 			t.Errorf("traingen's %s (%d bytes) differs from train's %s (%d bytes)", pair[0], len(a), pair[1], len(b))
 		}
+	}
+}
+
+// TestSubmitLabelsUpload: submit names an uploaded matrix by the size the
+// status echoes, since statuses no longer carry the body. The server's
+// worker pool never starts, so the job stays queued.
+func TestSubmitLabelsUpload(t *testing.T) {
+	s, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	mm := "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n"
+	path := filepath.Join(t.TempDir(), "a.mtx")
+	if err := os.WriteFile(path, []byte(mm), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := runCLI(t, "submit", "-server", ts.URL, "-matrix-file", path, "-follow=false")
+	want := fmt.Sprintf("(adaptive spmspv on uploaded matrix of %d bytes, scale test)", len(mm))
+	if code != 0 || !strings.Contains(out, want) {
+		t.Fatalf("submit exited %d, printed %q, want %q", code, out, want)
 	}
 }
