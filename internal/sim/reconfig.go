@@ -40,96 +40,21 @@ func (rc ReconfigCost) TimeSec(fHz, bw float64) float64 {
 // bound trace's operand nonzero count; coarse parameters cannot change at
 // runtime. The penalty is held pending and folded into the next RunEpoch.
 func (m *Machine) Reconfigure(to config.Config) (ReconfigCost, error) {
-	tr := config.Classify(m.cfg, to)
-	if tr.Coarse {
-		return ReconfigCost{}, fmt.Errorf("sim: coarse parameter change %v requires recompilation", tr.Changed)
+	tr, err := m.classify(to)
+	if err != nil {
+		return ReconfigCost{}, err
 	}
-	var rc ReconfigCost
-	rc.Cycles = float64(tr.SuperFineChanges) * config.SuperFineCycles
+	rc := ReconfigCost{Cycles: float64(tr.SuperFineChanges) * config.SuperFineCycles}
 	if tr.Algorithmic {
-		nnz := 0
-		if m.trace != nil {
-			nnz = m.trace.NNZ
-		}
-		rc.ConvCycles = tr.ConversionCycles(nnz)
+		rc.ConvCycles = tr.ConversionCycles(m.TraceNNZ())
 		rc.Cycles += rc.ConvCycles
 	}
-
-	// Note: flush L1 before L2 so L1 writebacks land in L2 (and are flushed
-	// onward if the L2 flushes too).
-	var cnt power.Counts
-	if tr.FlushL1 && !m.cfg.L1IsSPM() {
-		for _, b := range m.l1 {
-			for _, lineAddr := range b.Flush() {
-				rc.L1Flushed++
-				cnt.L1Accesses++
-				// Writebacks go to the tile-appropriate L2 bank; routing uses
-				// the *new* sharing mode since the flush accompanies it.
-				bank := 0
-				if to.L2Shared() {
-					bank = int(lineAddr) % m.chip.L2Banks()
-				}
-				ev := m.l2[bank].Insert(lineAddr, true, false)
-				cnt.L2Accesses++
-				if ev.Valid && ev.Dirty {
-					rc.DRAMWrites += LineSize
-				}
-			}
-		}
-		rc.Cycles += float64(rc.L1Flushed) * flushCyclesPerLine
-	}
-	if tr.FlushL1 && m.cfg.L1IsSPM() {
-		// Scratchpad "flush": resident filled lines are drained; roughly
-		// half carry modified data.
-		n := len(m.spmFilled)
-		rc.L1Flushed = n / 2
-		cnt.SPMAccesses += n
-		cnt.L2Accesses += n / 2
-		rc.Cycles += float64(n/2) * flushCyclesPerLine
-		m.spmFilled = make(map[uint32]bool)
-	}
-	if tr.FlushL2 {
-		for _, b := range m.l2 {
-			dirty := b.Flush()
-			rc.L2Flushed += len(dirty)
-			cnt.L2Accesses += len(dirty)
-			rc.DRAMWrites += len(dirty) * LineSize
-		}
-		rc.Cycles += float64(rc.L2Flushed) * flushCyclesPerLine
-	}
-
-	// Apply capacity changes. After a flush the bank is empty and resize is
-	// free of casualties; on a pure increase (super-fine) resident lines
-	// are preserved by the sub-banked design.
-	for _, b := range m.l1 {
-		for _, wb := range b.Resize(to.L1CapKB() * 1024) {
-			_ = wb
-			// Shrink without a flush cannot happen (classified fine), but
-			// guard anyway: treat casualties as L2 writebacks.
-			cnt.L2Accesses++
-		}
-	}
-	for _, b := range m.l2 {
-		for range b.Resize(to.L2CapKB() * 1024) {
-			rc.DRAMWrites += LineSize
-		}
-	}
+	cnt := m.flush(&rc, to, tr.FlushL1, tr.FlushL2)
 	if m.cfg.PrefetchDegree() != to.PrefetchDegree() {
-		for _, p := range m.l1pf {
-			p.Reset()
-		}
-		for _, p := range m.l2pf {
-			p.Reset()
-		}
+		m.resetPrefetchers()
 	}
-
 	cnt.DRAMWriteBytes = rc.DRAMWrites
-	if m.mx != nil {
-		m.mx.recordReconfig(rc)
-	}
-	m.cfg = to
-	m.refreshDerived()
-	m.rebuildSPMResidency()
+	m.apply(to, rc)
 	m.pendCycles += rc.Cycles
 	m.pendCounts.Add(cnt)
 	return rc, nil
@@ -153,19 +78,47 @@ func (m *Machine) Reconfigure(to config.Config) (ReconfigCost, error) {
 // cycles are charged: the incoming tenant binds its own trace, already in its
 // own format.
 func (m *Machine) ContextSwitch(to config.Config) (ReconfigCost, error) {
+	tr, err := m.classify(to)
+	if err != nil {
+		return ReconfigCost{}, err
+	}
+	rc := ReconfigCost{Cycles: float64(tr.SuperFineChanges) * config.SuperFineCycles}
+	m.flush(&rc, to, true, true)
+	m.resetPrefetchers()
+	clear(m.streamValid)
+	// SwitchPenalty prices the switch from rc alone, so the pending cycles
+	// are swept into rc and the pending access counts are dropped.
+	rc.Cycles += m.pendCycles
+	m.pendCycles = 0
+	m.pendCounts = power.Counts{}
+	m.apply(to, rc)
+	return rc, nil
+}
+
+// classify returns the transition from the active configuration to to, or
+// an error when it changes a coarse parameter.
+func (m *Machine) classify(to config.Config) (config.Transition, error) {
 	tr := config.Classify(m.cfg, to)
 	if tr.Coarse {
-		return ReconfigCost{}, fmt.Errorf("sim: coarse parameter change %v requires recompilation", tr.Changed)
+		return tr, fmt.Errorf("sim: coarse parameter change %v requires recompilation", tr.Changed)
 	}
-	var rc ReconfigCost
-	rc.Cycles = float64(tr.SuperFineChanges) * config.SuperFineCycles
+	return tr, nil
+}
 
+// flush empties the levels a transition to to demands, L1 before L2 so L1
+// writebacks land in L2 (and are flushed onward if the L2 flushes too), and
+// resizes every bank to to's capacities. It adds the flushed lines, their
+// cycles and the DRAM writeback bytes to rc and returns the cache accesses
+// the flush made.
+func (m *Machine) flush(rc *ReconfigCost, to config.Config, l1, l2 bool) power.Counts {
 	var cnt power.Counts
-	if !m.cfg.L1IsSPM() {
+	if l1 && !m.cfg.L1IsSPM() {
 		for _, b := range m.l1 {
 			for _, lineAddr := range b.Flush() {
 				rc.L1Flushed++
 				cnt.L1Accesses++
+				// Writebacks go to the tile-appropriate L2 bank; routing uses
+				// the *new* sharing mode since the flush accompanies it.
 				bank := 0
 				if to.L2Shared() {
 					bank = int(lineAddr) % m.chip.L2Banks()
@@ -178,62 +131,69 @@ func (m *Machine) ContextSwitch(to config.Config) (ReconfigCost, error) {
 			}
 		}
 		rc.Cycles += float64(rc.L1Flushed) * flushCyclesPerLine
-	} else {
+	}
+	if l1 && m.cfg.L1IsSPM() {
+		// Scratchpad "flush": resident filled lines are drained; roughly
+		// half carry modified data.
 		n := len(m.spmFilled)
 		rc.L1Flushed = n / 2
 		cnt.SPMAccesses += n
 		cnt.L2Accesses += n / 2
 		rc.Cycles += float64(n/2) * flushCyclesPerLine
+		m.spmFilled = make(map[uint32]bool)
 	}
-	m.spmFilled = make(map[uint32]bool)
-	for _, b := range m.l2 {
-		dirty := b.Flush()
-		rc.L2Flushed += len(dirty)
-		cnt.L2Accesses += len(dirty)
-		rc.DRAMWrites += len(dirty) * LineSize
+	if l2 {
+		for _, b := range m.l2 {
+			dirty := b.Flush()
+			rc.L2Flushed += len(dirty)
+			cnt.L2Accesses += len(dirty)
+			rc.DRAMWrites += len(dirty) * LineSize
+		}
+		rc.Cycles += float64(rc.L2Flushed) * flushCyclesPerLine
 	}
-	rc.Cycles += float64(rc.L2Flushed) * flushCyclesPerLine
 
-	// Both levels are empty now, so resizing is free of casualties.
+	// After a flush the bank is empty and resize is free of casualties; on
+	// a pure increase (super-fine) resident lines are preserved by the
+	// sub-banked design. A shrink without a flush cannot happen (it is
+	// classified fine), but casualties would be written back anyway.
 	for _, b := range m.l1 {
-		b.Resize(to.L1CapKB() * 1024)
+		for range b.Resize(to.L1CapKB() * 1024) {
+			cnt.L2Accesses++
+		}
 	}
 	for _, b := range m.l2 {
-		b.Resize(to.L2CapKB() * 1024)
+		for range b.Resize(to.L2CapKB() * 1024) {
+			rc.DRAMWrites += LineSize
+		}
 	}
+	return cnt
+}
+
+func (m *Machine) resetPrefetchers() {
 	for _, p := range m.l1pf {
 		p.Reset()
 	}
 	for _, p := range m.l2pf {
 		p.Reset()
 	}
-	for i := range m.streamValid {
-		m.streamValid[i] = false
-	}
+}
 
-	// Sweep any penalty a same-quantum Reconfigure left pending into this
-	// switch's cost instead of letting it fold into the next tenant's epoch.
-	rc.Cycles += m.pendCycles
-	cnt.Add(m.pendCounts)
-	m.pendCycles = 0
-	m.pendCounts = power.Counts{}
-	cnt.DRAMWriteBytes += rc.DRAMWrites
-
+// apply makes to the active configuration once its transition's flushes
+// are done, and publishes the transition's cost.
+func (m *Machine) apply(to config.Config, rc ReconfigCost) {
 	if m.mx != nil {
 		m.mx.recordReconfig(rc)
 	}
 	m.cfg = to
 	m.refreshDerived()
 	m.rebuildSPMResidency()
-	return rc, nil
 }
 
-// SwitchPenalty prices a ContextSwitch cost in wall time and energy at the
-// incoming configuration's operating point, mirroring TransitionPenalty's
-// model: flush traffic at cache-access energy (L2 writes weighted 1.5x),
-// cores power-gated during the switch at 30% leakage, DRAM writeback bytes
-// at 28 pJ/byte, and time bounded below by the off-chip bandwidth on the
-// writeback burst.
+// SwitchPenalty prices a transition's cost in wall time and energy at the
+// incoming configuration's operating point: flush traffic at cache-access
+// energy (L2 writes weighted 1.5x), cores power-gated during the flush
+// (Section 5.2) at 30% leakage, DRAM writeback bytes at 28 pJ/byte, and
+// time bounded below by the off-chip bandwidth on the writeback burst.
 func SwitchPenalty(chip power.Chip, to config.Config, rc ReconfigCost, bw float64) (timeSec, energyJ float64) {
 	timeSec = rc.TimeSec(to.ClockHz(), bw)
 	dyn := float64(rc.L1Flushed)*power.CacheAccessJ(to.L1CapKB()) +
@@ -248,34 +208,24 @@ func SwitchPenalty(chip power.Chip, to config.Config, rc ReconfigCost, bw float6
 // line counts observed at the boundary and the operand nonzero count nnz
 // (for the format-conversion charge of algorithmic switches; pass 0 when
 // the algorithm axes are fixed). The oracle and ProfileAdapt constructions
-// (Appendix A.7) use this when stitching recorded epoch segments. Time is
-// charged at the destination clock; cores are power-gated during flushes
-// (Section 5.2), modelled as 30% leakage.
+// (Appendix A.7) use this when stitching recorded epoch segments. It builds
+// the ReconfigCost a flush of those dirty lines would have, charged at the
+// destination clock, and prices it with SwitchPenalty.
 func TransitionPenalty(chip power.Chip, from, to config.Config, dirtyL1, dirtyL2, nnz int, bw float64) (timeSec, energyJ float64) {
 	tr := config.Classify(from, to)
 	if tr.IsNoop() {
 		return 0, 0
 	}
-	cycles := float64(tr.SuperFineChanges) * config.SuperFineCycles
-	cycles += tr.ConversionCycles(nnz)
-	var cnt power.Counts
+	rc := ReconfigCost{Cycles: float64(tr.SuperFineChanges) * config.SuperFineCycles}
+	rc.Cycles += tr.ConversionCycles(nnz)
 	if tr.FlushL1 {
-		cycles += float64(dirtyL1) * flushCyclesPerLine
-		cnt.L1Accesses += dirtyL1
-		cnt.L2Accesses += dirtyL1
+		rc.L1Flushed = dirtyL1
+		rc.Cycles += float64(dirtyL1) * flushCyclesPerLine
 	}
 	if tr.FlushL2 {
-		cycles += float64(dirtyL2) * flushCyclesPerLine
-		cnt.L2Accesses += dirtyL2
-		cnt.DRAMWriteBytes += dirtyL2 * LineSize
+		rc.L2Flushed = dirtyL2
+		rc.DRAMWrites = dirtyL2 * LineSize
+		rc.Cycles += float64(dirtyL2) * flushCyclesPerLine
 	}
-	timeSec = cycles / to.ClockHz()
-	if bt := float64(cnt.DRAMWriteBytes) / bw; bt > timeSec {
-		timeSec = bt
-	}
-	dyn := float64(cnt.L1Accesses)*power.CacheAccessJ(to.L1CapKB()) +
-		float64(cnt.L2Accesses)*1.5*power.CacheAccessJ(to.L2CapKB())
-	leak := 0.3 * chip.LeakageW(to) * timeSec
-	energyJ = (dyn+leak)*power.Scale(to.ClockMHz()) + float64(cnt.DRAMWriteBytes)*28e-12
-	return timeSec, energyJ
+	return SwitchPenalty(chip, to, rc, bw)
 }
