@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sparseadapt/internal/cluster"
+	"sparseadapt/internal/sched"
 	"sparseadapt/internal/server"
 	"sparseadapt/internal/server/client"
 )
@@ -53,7 +54,7 @@ func clusterAlive(t *testing.T, ctx context.Context, base string, n int) {
 // seedForOwner scans seeds until the validated request's fingerprint
 // lands on want in a ring of the given nodes — the same placement the
 // coordinator computes, so tests can steer jobs to a chosen worker.
-func seedForOwner(t *testing.T, base server.JobRequest, want string, nodes ...string) server.JobRequest {
+func seedForOwner(t *testing.T, base sched.JobRequest, want string, nodes ...string) sched.JobRequest {
 	t.Helper()
 	r := cluster.NewRing(0)
 	for _, n := range nodes {
@@ -92,9 +93,9 @@ func TestClusterEndToEnd(t *testing.T) {
 	// Three jobs steered to each worker: w1 will die holding its share.
 	// Adaptive jobs run long enough (tens of ms each, serial on a
 	// single-threaded worker) that the kill below reliably lands mid-job.
-	var reqs []server.JobRequest
+	var reqs []sched.JobRequest
 	for i := 0; i < 3; i++ {
-		base := server.JobRequest{Mode: "adaptive", Matrix: "R04", Scale: "test", Seed: int64(1000 * (i + 1))}
+		base := sched.JobRequest{Mode: "adaptive", Matrix: "R04", Scale: "test", Seed: int64(1000 * (i + 1))}
 		reqs = append(reqs, seedForOwner(t, base, "w1", "w1", "w2"))
 		base.Seed += 500
 		reqs = append(reqs, seedForOwner(t, base, "w2", "w1", "w2"))
@@ -102,7 +103,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// Single-node reference results, computed in-process.
 	want := make([]string, len(reqs))
-	refSrv, err := server.New(server.Config{Workers: 1})
+	refSrv, err := server.New(server.Config{Sched: sched.Config{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestClusterEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		final, err := ref.Wait(ctx, st.ID)
-		if err != nil || final.State != server.StateDone {
+		if err != nil || final.State != sched.StateDone {
 			t.Fatalf("reference job %d: %v (state %s)", i, err, final.State)
 		}
 		want[i] = marshalResult(t, final)
@@ -153,7 +154,7 @@ func TestClusterEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.State == server.StateRunning {
+			if st.State == sched.StateRunning {
 				w1Running = true
 				break
 			}
@@ -181,7 +182,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("wait %s: %v", id, err)
 		}
-		if final.State != server.StateDone {
+		if final.State != sched.StateDone {
 			t.Fatalf("%s ended %s (%s) after %d attempts, want done", id, final.State, final.Error, final.Attempts)
 		}
 		if got := marshalResult(t, final); got != want[i] {
@@ -213,7 +214,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	final, err := c.Wait(ctx, st.ID)
-	if err != nil || final.State != server.StateDone {
+	if err != nil || final.State != sched.StateDone {
 		t.Fatalf("resubmit: %v (state %s)", err, final.State)
 	}
 	if !final.CacheHit {

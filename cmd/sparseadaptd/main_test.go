@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"sparseadapt/internal/sched"
 	"sparseadapt/internal/server"
 	"sparseadapt/internal/server/client"
 )
@@ -89,12 +90,12 @@ func TestDaemonEndToEnd(t *testing.T) {
 	defer cancel()
 	c := client.New(d.base)
 
-	st, err := c.Submit(ctx, server.JobRequest{Mode: "adaptive", Kernel: "spmspv", Matrix: "R04", Scale: "test"})
+	st, err := c.Submit(ctx, sched.JobRequest{Mode: "adaptive", Kernel: "spmspv", Matrix: "R04", Scale: "test"})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	epochs := 0
-	if err := c.Stream(ctx, st.ID, func(ev server.Event) error {
+	if err := c.Stream(ctx, st.ID, func(ev sched.Event) error {
 		if ev.Type == "epoch" {
 			epochs++
 		}
@@ -106,7 +107,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	if final.State != server.StateDone || final.Result == nil {
+	if final.State != sched.StateDone || final.Result == nil {
 		t.Fatalf("job ended %s (%s), want done", final.State, final.Error)
 	}
 	if epochs != final.Result.Epochs || epochs == 0 {
@@ -155,14 +156,14 @@ func TestDaemonCrashRecovery(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
-	reqs := []server.JobRequest{
+	reqs := []sched.JobRequest{
 		{Mode: "static", Matrix: "R04", Scale: "test"},
 		{Mode: "static", Matrix: "R04", Scale: "test", Seed: 42},
 	}
 
 	// Uninterrupted reference results, computed in-process.
 	want := make([]string, len(reqs))
-	refSrv, err := server.New(server.Config{Workers: 1})
+	refSrv, err := server.New(server.Config{Sched: sched.Config{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestDaemonCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		final, err := ref.Wait(ctx, st.ID)
-		if err != nil || final.State != server.StateDone {
+		if err != nil || final.State != sched.StateDone {
 			t.Fatalf("reference job %d: %v (state %s)", i, err, final.State)
 		}
 		want[i] = marshalResult(t, final)
@@ -197,7 +198,7 @@ func TestDaemonCrashRecovery(t *testing.T) {
 		}
 		ids[i] = st.ID
 	}
-	if final, err := c1.Wait(ctx, ids[0]); err != nil || final.State != server.StateDone {
+	if final, err := c1.Wait(ctx, ids[0]); err != nil || final.State != sched.StateDone {
 		t.Fatalf("first job before crash: %v (state %s)", err, final.State)
 	}
 	if err := d1.cmd.Process.Kill(); err != nil { // SIGKILL, no drain
@@ -216,7 +217,7 @@ func TestDaemonCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("wait %s after reboot: %v", id, err)
 		}
-		if final.State != server.StateDone {
+		if final.State != sched.StateDone {
 			t.Fatalf("%s after reboot: state %s (%s), want done", id, final.State, final.Error)
 		}
 		if !final.Recovered {
@@ -240,7 +241,7 @@ func TestDaemonCrashRecovery(t *testing.T) {
 	}
 }
 
-func marshalResult(t *testing.T, st server.JobStatus) string {
+func marshalResult(t *testing.T, st sched.JobStatus) string {
 	t.Helper()
 	if st.Result == nil {
 		t.Fatalf("job %s has no result", st.ID)

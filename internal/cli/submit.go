@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"sparseadapt/internal/flagcheck"
-	"sparseadapt/internal/server"
+	"sparseadapt/internal/sched"
 	"sparseadapt/internal/server/client"
 )
 
@@ -56,7 +56,7 @@ func cmdSubmit(ctx context.Context, w io.Writer, args []string) error {
 	if err := checkErr(&check); err != nil {
 		return err
 	}
-	req := server.JobRequest{
+	req := sched.JobRequest{
 		Mode: *mode, Kernel: *kernel, Matrix: *matID,
 		Scale: *scaleName, Seed: *seed, OptMode: *opt,
 		Policy: *policy, Tolerance: *tolerance, Config: *cfgName,
@@ -90,11 +90,11 @@ func cmdSubmit(ctx context.Context, w io.Writer, args []string) error {
 		return nil
 	}
 
-	var final *server.JobStatus
-	err = c.Stream(ctx, st.ID, func(ev server.Event) error {
+	var final *sched.JobStatus
+	err = c.Stream(ctx, st.ID, func(ev sched.Event) error {
 		switch ev.Type {
 		case "state":
-			if ev.State != server.StateQueued { // submit already printed queued
+			if ev.State != sched.StateQueued { // submit already printed queued
 				fmt.Fprintf(w, "  %s\n", ev.State)
 			}
 		case "epoch":
@@ -133,16 +133,16 @@ func cmdSubmit(ctx context.Context, w io.Writer, args []string) error {
 
 // matrixLabel names a job's input: its dataset entry, or an upload by
 // the size the status echoes in place of the body.
-func matrixLabel(st server.JobStatus) string {
+func matrixLabel(st sched.JobStatus) string {
 	if st.UploadBytes > 0 {
 		return fmt.Sprintf("uploaded matrix of %d bytes", st.UploadBytes)
 	}
 	return st.Request.Matrix
 }
 
-func printFinal(w io.Writer, st server.JobStatus) error {
+func printFinal(w io.Writer, st sched.JobStatus) error {
 	switch st.State {
-	case server.StateDone:
+	case sched.StateDone:
 		r := st.Result
 		cached := ""
 		if st.CacheHit {

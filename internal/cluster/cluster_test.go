@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sparseadapt/internal/obs"
+	"sparseadapt/internal/sched"
 	"sparseadapt/internal/server"
 	"sparseadapt/internal/server/client"
 )
@@ -83,7 +84,7 @@ func waitAlive(t *testing.T, c *Coordinator, n int) {
 // seedOwnedBy scans seeds until the validated request's fingerprint lands
 // on the wanted node of a ring holding exactly the given nodes — how the
 // tests steer placement without touching the production hash.
-func seedOwnedBy(t *testing.T, req server.JobRequest, want string, nodes ...string) server.JobRequest {
+func seedOwnedBy(t *testing.T, req sched.JobRequest, want string, nodes ...string) sched.JobRequest {
 	t.Helper()
 	ring := NewRing(0)
 	for _, n := range nodes {
@@ -128,9 +129,9 @@ func TestClusterPeerCacheHit(t *testing.T) {
 	}()
 
 	// The job must land on wB once both workers are up.
-	req := seedOwnedBy(t, server.JobRequest{Mode: "adaptive", Matrix: "R04", Scale: "test"}, "wB", "wA", "wB")
+	req := seedOwnedBy(t, sched.JobRequest{Mode: "adaptive", Matrix: "R04", Scale: "test"}, "wB", "wA", "wB")
 
-	wA := startWorker(t, "wA", cts.URL, server.Config{Workers: 1})
+	wA := startWorker(t, "wA", cts.URL, server.Config{Sched: sched.Config{Workers: 1}})
 	waitAlive(t, coord, 1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -143,7 +144,7 @@ func TestClusterPeerCacheHit(t *testing.T) {
 		t.Fatalf("submit 1: %v", err)
 	}
 	fin1, err := cl.Wait(ctx, st1.ID)
-	if err != nil || fin1.State != server.StateDone {
+	if err != nil || fin1.State != sched.StateDone {
 		t.Fatalf("first run: %v (state %s: %s)", err, fin1.State, fin1.Error)
 	}
 	if fin1.CacheHit {
@@ -159,7 +160,7 @@ func TestClusterPeerCacheHit(t *testing.T) {
 	}
 
 	// wB joins; the same fingerprint now routes to it.
-	wB := startWorker(t, "wB", cts.URL, server.Config{Workers: 1})
+	wB := startWorker(t, "wB", cts.URL, server.Config{Sched: sched.Config{Workers: 1}})
 	waitAlive(t, coord, 2)
 
 	st2, err := cl.Submit(ctx, req)
@@ -167,7 +168,7 @@ func TestClusterPeerCacheHit(t *testing.T) {
 		t.Fatalf("submit 2: %v", err)
 	}
 	epochs := 0
-	if err := cl.Stream(ctx, st2.ID, func(ev server.Event) error {
+	if err := cl.Stream(ctx, st2.ID, func(ev sched.Event) error {
 		if ev.Type == "epoch" {
 			epochs++
 		}
@@ -176,7 +177,7 @@ func TestClusterPeerCacheHit(t *testing.T) {
 		t.Fatalf("stream 2: %v", err)
 	}
 	fin2, err := cl.Wait(ctx, st2.ID)
-	if err != nil || fin2.State != server.StateDone {
+	if err != nil || fin2.State != sched.StateDone {
 		t.Fatalf("second run: %v (state %s: %s)", err, fin2.State, fin2.Error)
 	}
 	if !fin2.CacheHit {
@@ -208,7 +209,7 @@ func TestClusterPeerCacheHit(t *testing.T) {
 func TestClusterWorkerDeathRequeue(t *testing.T) {
 	cts, installC := serveLater(t)
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Server:            server.Config{RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond},
+		Server:            server.Config{Sched: sched.Config{RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond}},
 		HeartbeatInterval: 20 * time.Millisecond,
 		HeartbeatTimeout:  100 * time.Millisecond,
 	})
@@ -247,7 +248,7 @@ func TestClusterWorkerDeathRequeue(t *testing.T) {
 	}))
 	t.Cleanup(doomed.Close)
 
-	survivor := startWorker(t, "survivor", cts.URL, server.Config{Workers: 1, RetryBaseDelay: time.Millisecond})
+	survivor := startWorker(t, "survivor", cts.URL, server.Config{Sched: sched.Config{Workers: 1, RetryBaseDelay: time.Millisecond}})
 	_ = survivor
 	waitAlive(t, coord, 1)
 
@@ -263,7 +264,7 @@ func TestClusterWorkerDeathRequeue(t *testing.T) {
 		}
 	}
 	beat()
-	req := seedOwnedBy(t, server.JobRequest{Mode: "static", Matrix: "R04", Scale: "test"}, "doomed", "doomed", "survivor")
+	req := seedOwnedBy(t, sched.JobRequest{Mode: "static", Matrix: "R04", Scale: "test"}, "doomed", "doomed", "survivor")
 
 	cl := client.New(cts.URL)
 	st, err := cl.Submit(ctx, req)
@@ -288,7 +289,7 @@ wait:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fin.State != server.StateDone {
+	if fin.State != sched.StateDone {
 		t.Fatalf("job after failover: %s (%s), want done", fin.State, fin.Error)
 	}
 	if fin.Attempts != 2 {
@@ -309,7 +310,7 @@ wait:
 func TestClusterNoWorkersQuarantine(t *testing.T) {
 	cts, installC := serveLater(t)
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Server: server.Config{MaxAttempts: 2, RetryBaseDelay: time.Millisecond, RetryMaxDelay: 2 * time.Millisecond},
+		Server: server.Config{Sched: sched.Config{MaxAttempts: 2, RetryBaseDelay: time.Millisecond, RetryMaxDelay: 2 * time.Millisecond}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +326,7 @@ func TestClusterNoWorkersQuarantine(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	cl := client.New(cts.URL)
-	st, err := cl.Submit(ctx, server.JobRequest{Matrix: "R04"})
+	st, err := cl.Submit(ctx, sched.JobRequest{Matrix: "R04"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestClusterNoWorkersQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fin.State != server.StateQuarantined {
+	if fin.State != sched.StateQuarantined {
 		t.Fatalf("state = %s, want quarantined", fin.State)
 	}
 	if !strings.Contains(fin.Error, "no live workers") {
@@ -359,7 +360,7 @@ func TestClusterTopologyEndpoints(t *testing.T) {
 		defer cancel()
 		coord.Drain(ctx) //nolint:errcheck // test teardown
 	}()
-	w := startWorker(t, "w-topo", cts.URL, server.Config{Workers: 1})
+	w := startWorker(t, "w-topo", cts.URL, server.Config{Sched: sched.Config{Workers: 1}})
 	waitAlive(t, coord, 1)
 
 	get := func(base string) string {

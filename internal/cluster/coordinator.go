@@ -250,8 +250,8 @@ func (c *Coordinator) place(ctx context.Context, j *sched.Job, attempt int) (*sc
 	// re-emitted (the coordinator's own SSE subscribers see them with
 	// coordinator-local sequence numbers, so Last-Event-ID resumption keeps
 	// working across the hop) and the terminal status is captured.
-	var final *server.JobStatus
-	serr := cl.Stream(wctx, remoteID, func(ev server.Event) error {
+	var final *sched.JobStatus
+	serr := cl.Stream(wctx, remoteID, func(ev sched.Event) error {
 		if ev.Type == "epoch" && ev.Epoch != nil {
 			j.Emit(*ev.Epoch)
 		}
@@ -277,9 +277,9 @@ func (c *Coordinator) place(ctx context.Context, j *sched.Job, attempt int) (*sc
 		return nil, false, fmt.Errorf("worker %s lost mid-job: %v", mem.id, serr)
 	}
 	switch final.State {
-	case server.StateDone:
+	case sched.StateDone:
 		return final.Result, final.CacheHit, nil
-	case server.StateCanceled:
+	case sched.StateCanceled:
 		// We did not cancel, so the worker shed it (drain): transient.
 		return nil, false, fmt.Errorf("worker %s shed the job: %s", mem.id, final.Error)
 	default: // failed, quarantined

@@ -70,7 +70,7 @@ func TestEventLogReplayAndSeal(t *testing.T) {
 func TestSchedulerLifecycle(t *testing.T) {
 	var finished []JobStatus
 	done := make(chan struct{})
-	s := New(Config{Workers: 1, QueueDepth: 2}, func(ctx context.Context, j *Job, attempt int) (*JobResult, bool, error) {
+	s := New(Config{Workers: 1, QueueDepth: 2}, nil, func(ctx context.Context, j *Job, attempt int) (*JobResult, bool, error) {
 		return &JobResult{Epochs: 3}, false, nil
 	}, Hooks{Finished: func(st JobStatus) {
 		finished = append(finished, st)
@@ -119,7 +119,7 @@ func TestSchedulerRetryAndQuarantine(t *testing.T) {
 	s2 := New(Config{
 		Workers: 1, MaxAttempts: 3,
 		RetryBaseDelay: time.Millisecond, RetryMaxDelay: 2 * time.Millisecond,
-	}, func(ctx context.Context, j *Job, attempt int) (*JobResult, bool, error) {
+	}, nil, func(ctx context.Context, j *Job, attempt int) (*JobResult, bool, error) {
 		attempts++
 		return nil, false, errTest
 	}, Hooks{
@@ -157,7 +157,7 @@ func TestSchedulerRetryAndQuarantine(t *testing.T) {
 // TestReserveQueueFullAndWithdraw: reserved slots count against admission,
 // and Withdraw releases both the slot and the job record.
 func TestReserveQueueFullAndWithdraw(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1}, func(ctx context.Context, j *Job, attempt int) (*JobResult, bool, error) {
+	s := New(Config{Workers: 1, QueueDepth: 1}, nil, func(ctx context.Context, j *Job, attempt int) (*JobResult, bool, error) {
 		return &JobResult{}, false, nil
 	}, Hooks{})
 	// Worker pool not started: committed jobs stay queued.

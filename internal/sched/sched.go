@@ -84,8 +84,6 @@ type Config struct {
 	BreakerWindow    int
 	BreakerThreshold float64
 	BreakerCooldown  time.Duration
-	// Metrics receives the server_* job metrics; nil records nothing.
-	Metrics *obs.Registry
 }
 
 func (c *Config) defaults() {
@@ -188,12 +186,13 @@ type Scheduler struct {
 }
 
 // New builds a Scheduler running exec on cfg.Workers goroutines once Start
-// is called. hooks may be the zero value.
-func New(cfg Config, exec ExecFunc, hooks Hooks) *Scheduler {
+// is called. reg receives the server_* job metrics; nil records nothing.
+// hooks may be the zero value.
+func New(cfg Config, reg *obs.Registry, exec ExecFunc, hooks Hooks) *Scheduler {
 	cfg.defaults()
 	s := &Scheduler{
 		cfg:   cfg,
-		met:   newMetrics(cfg.Metrics),
+		met:   newMetrics(reg),
 		exec:  exec,
 		hooks: hooks,
 		brk:   newBreaker(cfg.BreakerWindow, cfg.BreakerThreshold, cfg.BreakerCooldown),

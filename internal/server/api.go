@@ -1,49 +1,5 @@
 package server
 
-import "sparseadapt/internal/sched"
-
-// The wire types and job lifecycle vocabulary moved to the
-// transport-agnostic scheduling core (internal/sched) when the cluster
-// layer was introduced; these aliases keep the server package's historical
-// API surface — used by the client, the CLI and the test suites — intact.
-
-// The run modes a job can request. See sched.ModeStatic et al.
-const (
-	ModeStatic    = sched.ModeStatic
-	ModeAdaptive  = sched.ModeAdaptive
-	ModeResilient = sched.ModeResilient
-	ModeBatch     = sched.ModeBatch
-)
-
-// Job lifecycle states. See sched.StateQueued et al.
-const (
-	StateQueued      = sched.StateQueued
-	StateRunning     = sched.StateRunning
-	StateDone        = sched.StateDone
-	StateFailed      = sched.StateFailed
-	StateCanceled    = sched.StateCanceled
-	StateQuarantined = sched.StateQuarantined
-)
-
-// JobRequest is the POST /v1/jobs body. Alias of sched.JobRequest.
-type JobRequest = sched.JobRequest
-
-// JobResult is a finished job's payload. Alias of sched.JobResult.
-type JobResult = sched.JobResult
-
-// JobStatus is the GET /v1/jobs/{id} body and the submit response. Alias
-// of sched.JobStatus.
-type JobStatus = sched.JobStatus
-
-// Event is one entry of a job's SSE stream. Alias of sched.Event.
-type Event = sched.Event
-
-// DecodeJobRequest parses and validates a JSON job request body (the
-// fuzzed decoding surface of the server).
-func DecodeJobRequest(data []byte) (JobRequest, error) {
-	return sched.DecodeJobRequest(data)
-}
-
 // apiError is the JSON error body every non-2xx response carries.
 type apiError struct {
 	Error string `json:"error"`

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sparseadapt/internal/fault"
+	"sparseadapt/internal/sched"
 	"sparseadapt/internal/server"
 	"sparseadapt/internal/server/client"
 	"sparseadapt/internal/server/store"
@@ -19,7 +20,7 @@ import (
 func TestChaosMidEpochKillRetriesByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	req := server.JobRequest{Mode: "static", Matrix: "R04", Scale: "test"}
+	req := sched.JobRequest{Mode: "static", Matrix: "R04", Scale: "test"}
 
 	// Chaos decisions are pure hashes of (seed, job, attempt), so scan for
 	// a seed that kills job-000001 early on attempt 1 and spares attempt 2
@@ -39,14 +40,16 @@ func TestChaosMidEpochKillRetriesByteIdentical(t *testing.T) {
 		}
 	}
 
-	_, ref := startServer(t, server.Config{Workers: 1})
+	_, ref := startServer(t, server.Config{Sched: sched.Config{Workers: 1}})
 	want := resultJSON(t, submitAndWait(t, ctx, ref, req))
 
 	_, c := startServer(t, server.Config{
-		Workers: 1, MaxAttempts: 3,
-		RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond,
-		BreakerThreshold: 2, // keep the breaker out of this test
-		Chaos:            fault.NewChaos(spec),
+		Sched: sched.Config{
+			Workers: 1, MaxAttempts: 3,
+			RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond,
+			BreakerThreshold: 2, // keep the breaker out of this test
+		},
+		Chaos: fault.NewChaos(spec),
 	})
 	final := submitAndWait(t, ctx, c, req)
 	if final.Attempts != 2 {
@@ -57,7 +60,7 @@ func TestChaosMidEpochKillRetriesByteIdentical(t *testing.T) {
 	}
 	// The stream must carry the retry event naming the injected kill.
 	sawRetry := false
-	if err := c.Stream(ctx, final.ID, func(ev server.Event) error {
+	if err := c.Stream(ctx, final.ID, func(ev sched.Event) error {
 		if ev.Type == "retry" {
 			sawRetry = true
 			if ev.Attempt != 1 || !strings.Contains(ev.Error, "chaos") {
@@ -79,12 +82,14 @@ func TestChaosQuarantineAfterMaxAttempts(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	_, c := startServer(t, server.Config{
-		Workers: 1, MaxAttempts: 2,
-		RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond,
-		BreakerThreshold: 2,
-		Chaos:            fault.NewChaos(fault.ChaosSpec{Poison: 1, Seed: 3}),
+		Sched: sched.Config{
+			Workers: 1, MaxAttempts: 2,
+			RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond,
+			BreakerThreshold: 2,
+		},
+		Chaos: fault.NewChaos(fault.ChaosSpec{Poison: 1, Seed: 3}),
 	})
-	st, err := c.Submit(ctx, server.JobRequest{Matrix: "R04"})
+	st, err := c.Submit(ctx, sched.JobRequest{Matrix: "R04"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +97,7 @@ func TestChaosQuarantineAfterMaxAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != server.StateQuarantined {
+	if final.State != sched.StateQuarantined {
 		t.Fatalf("poison job ended %s (%s), want quarantined", final.State, final.Error)
 	}
 	if final.Attempts != 2 {
@@ -112,23 +117,25 @@ func TestChaosBreakerShedsWhenExecutionMeltsDown(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	_, c := startServer(t, server.Config{
-		Workers: 1, MaxAttempts: 1,
-		BreakerWindow: 3, BreakerThreshold: 0.5, BreakerCooldown: time.Minute,
+		Sched: sched.Config{
+			Workers: 1, MaxAttempts: 1,
+			BreakerWindow: 3, BreakerThreshold: 0.5, BreakerCooldown: time.Minute,
+		},
 		Chaos: fault.NewChaos(fault.ChaosSpec{Poison: 1, Seed: 5}),
 	})
 	for i := 0; i < 3; i++ {
-		st, err := c.Submit(ctx, server.JobRequest{Matrix: "R04"})
+		st, err := c.Submit(ctx, sched.JobRequest{Matrix: "R04"})
 		if err != nil {
 			t.Fatalf("submit %d (breaker should still be closed): %v", i, err)
 		}
-		if final, err := c.Wait(ctx, st.ID); err != nil || final.State != server.StateQuarantined {
+		if final, err := c.Wait(ctx, st.ID); err != nil || final.State != sched.StateQuarantined {
 			t.Fatalf("job %d = %v state %s, want quarantined", i, err, final.State)
 		}
 	}
 	waitMetric(t, c, "server_breaker_open 1")
 	waitMetric(t, c, "server_breaker_trips_total 1")
 
-	_, err := c.Submit(ctx, server.JobRequest{Matrix: "R04"})
+	_, err := c.Submit(ctx, sched.JobRequest{Matrix: "R04"})
 	apiErr, ok := err.(*client.APIError)
 	if !ok || apiErr.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit with open breaker = %v, want 503", err)
@@ -167,10 +174,11 @@ func TestChaosBreakerShedsWhenExecutionMeltsDown(t *testing.T) {
 func TestChaosCacheCorruptionCostsWorkNotCorrectness(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	req := server.JobRequest{Mode: "static", Matrix: "R04", Scale: "test"}
+	req := sched.JobRequest{Mode: "static", Matrix: "R04", Scale: "test"}
 	_, c := startServer(t, server.Config{
-		Workers: 1, CacheDir: t.TempDir(), BreakerThreshold: 2,
-		Chaos: fault.NewChaos(fault.ChaosSpec{CacheCorrupt: 1, Seed: 7}),
+		Sched:    sched.Config{Workers: 1, BreakerThreshold: 2},
+		CacheDir: t.TempDir(),
+		Chaos:    fault.NewChaos(fault.ChaosSpec{CacheCorrupt: 1, Seed: 7}),
 	})
 	first := submitAndWait(t, ctx, c, req)
 	second := submitAndWait(t, ctx, c, req)
@@ -202,13 +210,15 @@ func TestChaosSoak(t *testing.T) {
 	dir := t.TempDir()
 	inj := fault.NewChaos(spec)
 	srv, c := startServer(t, server.Config{
-		Workers: 3, QueueDepth: 64, StoreDir: dir, CacheDir: t.TempDir(),
-		MaxAttempts:    3,
-		RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond,
-		// Half of all first attempts fail by design; the breaker would
-		// (correctly) shed under that, which is not what this test probes.
-		BreakerThreshold: 2,
-		Chaos:            inj,
+		Sched: sched.Config{
+			Workers: 3, QueueDepth: 64, MaxAttempts: 3,
+			RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond,
+			// Half of all first attempts fail by design; the breaker would
+			// (correctly) shed under that, which is not what this test probes.
+			BreakerThreshold: 2,
+		},
+		StoreDir: dir, CacheDir: t.TempDir(),
+		Chaos: inj,
 	})
 	// An oracle injector with the same spec makes the same decisions
 	// (fault.TestChaosDeterminism), so the test can predict per-job fates.
@@ -218,10 +228,10 @@ func TestChaosSoak(t *testing.T) {
 	c.Retry = client.RetryPolicy{Max: 10, BaseWait: time.Millisecond, MaxWait: 10 * time.Millisecond}
 
 	const n = 16
-	accepted := make(map[string]server.JobRequest, n)
+	accepted := make(map[string]sched.JobRequest, n)
 	var order []string
 	for i := 0; i < n; i++ {
-		req := server.JobRequest{Mode: "static", Matrix: "R04", Scale: "test", Seed: int64(1000 + i)}
+		req := sched.JobRequest{Mode: "static", Matrix: "R04", Scale: "test", Seed: int64(1000 + i)}
 		st, err := c.Submit(ctx, req)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -239,7 +249,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 		if oracle.Poisoned(id) {
 			poisoned++
-			if final.State != server.StateQuarantined {
+			if final.State != sched.StateQuarantined {
 				t.Errorf("poisoned %s ended %s, want quarantined", id, final.State)
 			}
 			if final.Attempts != 3 {
@@ -248,7 +258,7 @@ func TestChaosSoak(t *testing.T) {
 			continue
 		}
 		// fail-first=1: every healthy job fails exactly its first attempt.
-		if final.State != server.StateDone {
+		if final.State != sched.StateDone {
 			t.Errorf("healthy %s ended %s: %s", id, final.State, final.Error)
 			continue
 		}
@@ -290,7 +300,7 @@ func TestChaosSoak(t *testing.T) {
 
 	// Zero wrong results: every completed job matches a chaos-free run of
 	// the same request on a pristine server.
-	_, ref := startServer(t, server.Config{Workers: 2})
+	_, ref := startServer(t, server.Config{Sched: sched.Config{Workers: 2}})
 	for id, req := range accepted {
 		want, ok := results[id]
 		if !ok {

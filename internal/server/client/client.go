@@ -1,6 +1,6 @@
 // Package client is the typed Go client of the sparseadaptd HTTP API: it
 // submits jobs, polls status, streams Server-Sent Events and decodes the
-// wire types of package server. The `sparseadapt submit` subcommand and
+// wire types of package sched. The `sparseadapt submit` subcommand and
 // the daemon's end-to-end tests are built on it, so the client exercises
 // exactly the surface external consumers would.
 package client
@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"sparseadapt/internal/matrix"
-	"sparseadapt/internal/server"
+	"sparseadapt/internal/sched"
 )
 
 // Client talks to one sparseadaptd instance.
@@ -175,7 +175,7 @@ func decodeError(resp *http.Response) error {
 // with the server's Retry-After hint; the last rejection is returned when
 // the budget runs out. Submission is safe to retry: a shed request was
 // never accepted (the server journals acceptance before responding 202).
-func (c *Client) Submit(ctx context.Context, req server.JobRequest) (server.JobStatus, error) {
+func (c *Client) Submit(ctx context.Context, req sched.JobRequest) (sched.JobStatus, error) {
 	return c.SubmitWithRequestID(ctx, req, "")
 }
 
@@ -183,16 +183,16 @@ func (c *Client) Submit(ctx context.Context, req server.JobRequest) (server.JobS
 // caller (or a coordinator proxying on a client's behalf) can correlate
 // the job across hops. An empty id lets the server mint one; the
 // effective id comes back in the returned status.
-func (c *Client) SubmitWithRequestID(ctx context.Context, req server.JobRequest, requestID string) (server.JobStatus, error) {
+func (c *Client) SubmitWithRequestID(ctx context.Context, req sched.JobRequest, requestID string) (sched.JobStatus, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return server.JobStatus{}, err
+		return sched.JobStatus{}, err
 	}
 	var hdr map[string]string
 	if requestID != "" {
 		hdr = map[string]string{"X-Request-ID": requestID}
 	}
-	var st server.JobStatus
+	var st sched.JobStatus
 	for attempt := 0; ; attempt++ {
 		err = c.do(ctx, http.MethodPost, "/v1/jobs", body, hdr, &st)
 		if err == nil || attempt >= c.Retry.Max {
@@ -211,22 +211,22 @@ func (c *Client) SubmitWithRequestID(ctx context.Context, req server.JobRequest,
 }
 
 // Get fetches a job's current status.
-func (c *Client) Get(ctx context.Context, id string) (server.JobStatus, error) {
-	var st server.JobStatus
+func (c *Client) Get(ctx context.Context, id string) (sched.JobStatus, error) {
+	var st sched.JobStatus
 	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, nil, &st)
 	return st, err
 }
 
 // List fetches all retained jobs in submission order.
-func (c *Client) List(ctx context.Context) ([]server.JobStatus, error) {
-	var out []server.JobStatus
+func (c *Client) List(ctx context.Context) ([]sched.JobStatus, error) {
+	var out []sched.JobStatus
 	err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, nil, &out)
 	return out, err
 }
 
 // Cancel requests cancellation of a queued or running job.
-func (c *Client) Cancel(ctx context.Context, id string) (server.JobStatus, error) {
-	var st server.JobStatus
+func (c *Client) Cancel(ctx context.Context, id string) (sched.JobStatus, error) {
+	var st sched.JobStatus
 	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, nil, &st)
 	return st, err
 }
@@ -268,7 +268,7 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 // Stream subscribes to a job's event stream and calls fn for every event,
 // from the beginning of the job's history, until the stream closes (the
 // job reached a terminal state), fn returns an error, or ctx is canceled.
-func (c *Client) Stream(ctx context.Context, id string, fn func(server.Event) error) error {
+func (c *Client) Stream(ctx context.Context, id string, fn func(sched.Event) error) error {
 	return c.StreamFrom(ctx, id, 0, fn)
 }
 
@@ -276,7 +276,7 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(server.Event) er
 // Seq < from are skipped server-side via the SSE Last-Event-ID header,
 // so a reconnecting consumer replays only what it missed. from <= 0
 // streams the full history.
-func (c *Client) StreamFrom(ctx context.Context, id string, from int, fn func(server.Event) error) error {
+func (c *Client) StreamFrom(ctx context.Context, id string, from int, fn func(sched.Event) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		return err
@@ -314,7 +314,7 @@ func (c *Client) StreamFrom(ctx context.Context, id string, from int, fn func(se
 		case strings.HasPrefix(line, "data:"):
 			data.WriteString(strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " "))
 		case line == "" && data.Len() > 0:
-			var ev server.Event
+			var ev sched.Event
 			if err := json.Unmarshal([]byte(data.String()), &ev); err != nil {
 				return fmt.Errorf("decoding event: %w", err)
 			}
@@ -372,9 +372,9 @@ func (w *stallWatch) close() {
 // Wait follows the job's event stream to completion and returns the
 // terminal status. It degrades to polling when streaming fails (proxies
 // that buffer SSE, for instance).
-func (c *Client) Wait(ctx context.Context, id string) (server.JobStatus, error) {
-	var final *server.JobStatus
-	err := c.Stream(ctx, id, func(ev server.Event) error {
+func (c *Client) Wait(ctx context.Context, id string) (sched.JobStatus, error) {
+	var final *sched.JobStatus
+	err := c.Stream(ctx, id, func(ev sched.Event) error {
 		if ev.Status != nil && ev.Status.Terminal() {
 			final = ev.Status
 		}
@@ -384,13 +384,13 @@ func (c *Client) Wait(ctx context.Context, id string) (server.JobStatus, error) 
 		return *final, nil
 	}
 	if err != nil && ctx.Err() != nil {
-		return server.JobStatus{}, err
+		return sched.JobStatus{}, err
 	}
 	// Stream closed without a terminal event (or failed): poll.
 	for {
 		st, err := c.Get(ctx, id)
 		if err != nil {
-			return server.JobStatus{}, err
+			return sched.JobStatus{}, err
 		}
 		if st.Terminal() {
 			return st, nil

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"sparseadapt/internal/server"
+	"sparseadapt/internal/sched"
 )
 
 // shedServer rejects the first n submissions with status and Retry-After,
@@ -40,7 +40,7 @@ func TestSubmitRetriesTransient(t *testing.T) {
 		ts, calls := shedServer(t, 2, status, "")
 		c := New(ts.URL)
 		c.Retry = RetryPolicy{Max: 3, BaseWait: time.Millisecond, MaxWait: 5 * time.Millisecond}
-		st, err := c.Submit(context.Background(), server.JobRequest{})
+		st, err := c.Submit(context.Background(), sched.JobRequest{})
 		if err != nil {
 			t.Fatalf("status %d: submit after retries: %v", status, err)
 		}
@@ -57,7 +57,7 @@ func TestSubmitHonorsRetryAfterCap(t *testing.T) {
 	c := New(ts.URL)
 	c.Retry = RetryPolicy{Max: 2, BaseWait: time.Millisecond, MaxWait: 20 * time.Millisecond}
 	begin := time.Now()
-	if _, err := c.Submit(context.Background(), server.JobRequest{}); err != nil {
+	if _, err := c.Submit(context.Background(), sched.JobRequest{}); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	if elapsed := time.Since(begin); elapsed > 5*time.Second {
@@ -73,7 +73,7 @@ func TestSubmitHonorsRetryAfterCap(t *testing.T) {
 func TestSubmitZeroPolicySingleShot(t *testing.T) {
 	ts, calls := shedServer(t, 10, http.StatusTooManyRequests, "1")
 	c := New(ts.URL)
-	_, err := c.Submit(context.Background(), server.JobRequest{})
+	_, err := c.Submit(context.Background(), sched.JobRequest{})
 	if err == nil {
 		t.Fatal("zero-policy submit to a shedding server succeeded")
 	}
@@ -92,7 +92,7 @@ func TestSubmitNoRetryOnClientError(t *testing.T) {
 	ts, calls := shedServer(t, 10, http.StatusBadRequest, "")
 	c := New(ts.URL)
 	c.Retry = RetryPolicy{Max: 5, BaseWait: time.Millisecond}
-	if _, err := c.Submit(context.Background(), server.JobRequest{}); err == nil {
+	if _, err := c.Submit(context.Background(), sched.JobRequest{}); err == nil {
 		t.Fatal("400 submit succeeded")
 	}
 	if calls.Load() != 1 {
@@ -134,14 +134,14 @@ func TestSubmitWithRequestIDHeader(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	c := New(ts.URL)
-	st, err := c.SubmitWithRequestID(context.Background(), server.JobRequest{}, "rid-9")
+	st, err := c.SubmitWithRequestID(context.Background(), sched.JobRequest{}, "rid-9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Load() != "rid-9" || st.RequestID != "rid-9" {
 		t.Errorf("header=%q status.RequestID=%q, want rid-9 in both", got.Load(), st.RequestID)
 	}
-	if _, err := c.Submit(context.Background(), server.JobRequest{}); err != nil {
+	if _, err := c.Submit(context.Background(), sched.JobRequest{}); err != nil {
 		t.Fatal(err)
 	}
 	if got.Load() != "" {
@@ -160,7 +160,7 @@ func TestStreamFromSendsLastEventID(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	var seqs []int
-	err := New(ts.URL).StreamFrom(context.Background(), "job-000001", 5, func(ev server.Event) error {
+	err := New(ts.URL).StreamFrom(context.Background(), "job-000001", 5, func(ev sched.Event) error {
 		seqs = append(seqs, ev.Seq)
 		return nil
 	})
@@ -188,7 +188,7 @@ func TestStreamStallDetector(t *testing.T) {
 	c := New(hang.URL)
 	c.StallTimeout = 100 * time.Millisecond
 	begin := time.Now()
-	err := c.Stream(context.Background(), "job-000001", func(server.Event) error { return nil })
+	err := c.Stream(context.Background(), "job-000001", func(sched.Event) error { return nil })
 	if !errors.Is(err, ErrStreamStalled) {
 		t.Fatalf("wedged stream returned %v, want ErrStreamStalled", err)
 	}
@@ -213,7 +213,7 @@ func TestStreamStallDetector(t *testing.T) {
 	c2 := New(alive.URL)
 	c2.StallTimeout = 150 * time.Millisecond // > keepalive cadence, < total run
 	events := 0
-	if err := c2.Stream(context.Background(), "job-000001", func(server.Event) error {
+	if err := c2.Stream(context.Background(), "job-000001", func(sched.Event) error {
 		events++
 		return nil
 	}); err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"sparseadapt/internal/fault"
 	"sparseadapt/internal/obs"
+	"sparseadapt/internal/sched"
 )
 
 // TestJournalFailureKeepsQueueConsistent submits against a live worker
@@ -20,7 +21,7 @@ import (
 func TestJournalFailureKeepsQueueConsistent(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := New(Config{
-		Workers:  2,
+		Sched:    sched.Config{Workers: 2},
 		StoreDir: t.TempDir(),
 		Chaos:    fault.NewChaos(fault.ChaosSpec{JournalErr: 1, Seed: 1}),
 		Metrics:  reg,
@@ -62,7 +63,7 @@ func TestJournalFailureKeepsQueueConsistent(t *testing.T) {
 // the response header, surfaced in the job status, and stamped on every
 // SSE event; an invalid one must be rejected at the door.
 func TestRequestIDThreading(t *testing.T) {
-	s, err := New(Config{Workers: 1})
+	s, err := New(Config{Sched: sched.Config{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

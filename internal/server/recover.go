@@ -40,13 +40,13 @@ func (s *Server) journalAccept(j *sched.Job) error {
 // failed write leaves the job non-terminal in the journal, and the worst a
 // crash can then do is re-execute it — deterministic and mostly
 // cache-served, never lost or wrong.
-func (s *Server) journalTerminal(st JobStatus) {
+func (s *Server) journalTerminal(st sched.JobStatus) {
 	if s.store == nil {
 		return
 	}
 	rec := store.Record{JobID: st.ID, Attempt: st.Attempts, Error: st.Error}
 	switch st.State {
-	case StateDone:
+	case sched.StateDone:
 		rec.Type = store.RecDone
 		rec.CacheHit = st.CacheHit
 		if st.Result != nil {
@@ -54,11 +54,11 @@ func (s *Server) journalTerminal(st JobStatus) {
 				rec.Result = data
 			}
 		}
-	case StateFailed:
+	case sched.StateFailed:
 		rec.Type = store.RecFailed
-	case StateCanceled:
+	case sched.StateCanceled:
 		rec.Type = store.RecCanceled
-	case StateQuarantined:
+	case sched.StateQuarantined:
 		rec.Type = store.RecQuarantined
 	default:
 		return
@@ -76,7 +76,7 @@ func (s *Server) journalTerminal(st JobStatus) {
 // the daemon.
 func (s *Server) recoverFromStore() error {
 	for _, js := range s.store.Jobs() {
-		var req JobRequest
+		var req sched.JobRequest
 		if len(js.Request) > 0 {
 			if err := json.Unmarshal(js.Request, &req); err != nil {
 				return fmt.Errorf("server: recovering %s: bad request payload: %w", js.ID, err)
@@ -85,9 +85,9 @@ func (s *Server) recoverFromStore() error {
 		j := s.sch.Restore(js.ID, req, js.RequestID, js.Accepted)
 		j.SetRecovered(js.Attempts)
 		if js.Terminal() {
-			var result *JobResult
+			var result *sched.JobResult
 			if len(js.Result) > 0 {
-				var res JobResult
+				var res sched.JobResult
 				if err := json.Unmarshal(js.Result, &res); err == nil {
 					result = &res
 				}

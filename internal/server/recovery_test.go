@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sparseadapt/internal/fault"
+	"sparseadapt/internal/sched"
 	"sparseadapt/internal/server"
 	"sparseadapt/internal/server/client"
 )
@@ -16,7 +17,7 @@ import (
 // resultJSON canonicalizes a job result for byte-for-byte comparison
 // across servers (the Trace field is excluded from JSON by design, so this
 // is exactly the payload a client sees).
-func resultJSON(t *testing.T, st server.JobStatus) string {
+func resultJSON(t *testing.T, st sched.JobStatus) string {
 	t.Helper()
 	if st.Result == nil {
 		t.Fatalf("job %s has no result", st.ID)
@@ -37,13 +38,13 @@ func TestRecoveryRequeuesInterruptedJobs(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	reqs := []server.JobRequest{
+	reqs := []sched.JobRequest{
 		{Mode: "static", Matrix: "R04", Scale: "test"},
 		{Mode: "static", Matrix: "R04", Scale: "test", Seed: 99},
 	}
 
 	// Uninterrupted reference run on a plain server.
-	_, ref := startServer(t, server.Config{Workers: 1})
+	_, ref := startServer(t, server.Config{Sched: sched.Config{Workers: 1}})
 	var want []string
 	for _, req := range reqs {
 		want = append(want, resultJSON(t, submitAndWait(t, ctx, ref, req)))
@@ -59,13 +60,13 @@ func TestRecoveryRequeuesInterruptedJobs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		if st.State != server.StateQueued {
+		if st.State != sched.StateQueued {
 			t.Fatalf("submit %d state = %q", i, st.State)
 		}
 	}
 
 	// Reboot on the same journal.
-	s2, c2 := startServer(t, server.Config{Workers: 2, StoreDir: dir})
+	s2, c2 := startServer(t, server.Config{Sched: sched.Config{Workers: 2}, StoreDir: dir})
 	if got := s2.Recovered(); got != len(reqs) {
 		t.Fatalf("recovered %d jobs, want %d", got, len(reqs))
 	}
@@ -75,7 +76,7 @@ func TestRecoveryRequeuesInterruptedJobs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("wait %s: %v", id, err)
 		}
-		if final.State != server.StateDone {
+		if final.State != sched.StateDone {
 			t.Fatalf("%s ended %s: %s", id, final.State, final.Error)
 		}
 		if !final.Recovered {
@@ -107,8 +108,8 @@ func TestRecoveryResurfacesTerminalJobs(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	s1, c1 := startServer(t, server.Config{Workers: 1, StoreDir: dir})
-	first := submitAndWait(t, ctx, c1, server.JobRequest{Mode: "static", Matrix: "R04", Scale: "test"})
+	s1, c1 := startServer(t, server.Config{Sched: sched.Config{Workers: 1}, StoreDir: dir})
+	first := submitAndWait(t, ctx, c1, sched.JobRequest{Mode: "static", Matrix: "R04", Scale: "test"})
 	if err := s1.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestRecoveryResurfacesTerminalJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, c2 := startServer(t, server.Config{Workers: 1, StoreDir: dir})
+	s2, c2 := startServer(t, server.Config{Sched: sched.Config{Workers: 1}, StoreDir: dir})
 	if got := s2.Recovered(); got != 0 {
 		t.Fatalf("clean shutdown left %d jobs to recover, want 0", got)
 	}
@@ -124,7 +125,7 @@ func TestRecoveryResurfacesTerminalJobs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("get resurfaced job: %v", err)
 	}
-	if st.State != server.StateDone || !st.Recovered {
+	if st.State != sched.StateDone || !st.Recovered {
 		t.Fatalf("resurfaced job = state %s recovered %v, want done/true", st.State, st.Recovered)
 	}
 	if got := resultJSON(t, st); got != resultJSON(t, first) {
@@ -135,7 +136,7 @@ func TestRecoveryResurfacesTerminalJobs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wait on resurfaced job: %v", err)
 	}
-	if final.State != server.StateDone {
+	if final.State != sched.StateDone {
 		t.Errorf("resurfaced stream ended %s", final.State)
 	}
 }
@@ -150,7 +151,7 @@ func TestJournalFailureShedsSubmission(t *testing.T) {
 		StoreDir: t.TempDir(),
 		Chaos:    fault.NewChaos(fault.ChaosSpec{JournalErr: 1, Seed: 1}),
 	})
-	_, err := c.Submit(context.Background(), server.JobRequest{Matrix: "R04"})
+	_, err := c.Submit(context.Background(), sched.JobRequest{Matrix: "R04"})
 	apiErr, ok := err.(*client.APIError)
 	if !ok || apiErr.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit with broken journal = %v, want 503", err)

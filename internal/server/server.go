@@ -47,11 +47,11 @@ import (
 // Config sizes the server. The zero value is usable: every field has a
 // production-lean default applied by New.
 type Config struct {
-	// Workers bounds concurrent job executions (default GOMAXPROCS).
-	Workers int
-	// QueueDepth bounds the number of queued-but-not-running jobs; a full
-	// queue rejects submissions with 429 (default 64).
-	QueueDepth int
+	// Sched sizes the job scheduler: workers, queue depth, job timeout,
+	// retention, retries and the failure-rate circuit breaker. A full queue
+	// rejects submissions with 429; while the breaker is open the server
+	// sheds new submissions with 503 and fails /readyz.
+	Sched sched.Config
 	// RatePerSec is the per-client job submission rate (token bucket,
 	// default 0 = unlimited); Burst is the bucket depth (default 8).
 	RatePerSec float64
@@ -59,12 +59,6 @@ type Config struct {
 	// MaxBodyBytes caps the request body, bounding MatrixMarket uploads
 	// (default 8 MiB). Oversized bodies get 413.
 	MaxBodyBytes int64
-	// JobTimeout is the default and maximum per-job execution deadline
-	// (default 5 minutes). Requests may ask for less, never more.
-	JobTimeout time.Duration
-	// MaxJobs bounds retained job records; the oldest terminal jobs are
-	// evicted beyond it (default 1024).
-	MaxJobs int
 	// CacheEntries sizes the in-memory tier of the content-addressed result
 	// cache (default 512); CacheDir adds a persistent on-disk tier.
 	CacheEntries int
@@ -76,23 +70,6 @@ type Config struct {
 	// re-executed. Empty disables durability (a crash loses non-terminal
 	// jobs, the pre-journal behavior).
 	StoreDir string
-	// MaxAttempts bounds execution attempts per job (default 3). A job
-	// whose every attempt fails is quarantined: terminal state
-	// "quarantined", counted by server_jobs_quarantined_total.
-	MaxAttempts int
-	// RetryBaseDelay and RetryMaxDelay shape the exponential backoff with
-	// deterministic jitter between attempts (defaults 50ms and 2s).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	// BreakerWindow, BreakerThreshold and BreakerCooldown configure the
-	// failure-rate circuit breaker: when the failure fraction of the last
-	// BreakerWindow execution attempts reaches BreakerThreshold (default
-	// 0.5 over 20), the server sheds new submissions with 503 and fails
-	// /readyz for BreakerCooldown (default 10s) while in-flight work
-	// drains. A threshold above 1 disables the breaker.
-	BreakerWindow    int
-	BreakerThreshold float64
-	BreakerCooldown  time.Duration
 	// SSEKeepalive is the idle interval after which event streams emit a
 	// ": keepalive" SSE comment so forwarded streams survive proxy and
 	// load-balancer idle timeouts (default 15s; negative disables).
@@ -210,19 +187,7 @@ func New(cfg Config) (*Server, error) {
 	if exec == nil {
 		exec = s.localExec
 	}
-	s.sch = sched.New(sched.Config{
-		Workers:          cfg.Workers,
-		QueueDepth:       cfg.QueueDepth,
-		JobTimeout:       cfg.JobTimeout,
-		MaxJobs:          cfg.MaxJobs,
-		MaxAttempts:      cfg.MaxAttempts,
-		RetryBaseDelay:   cfg.RetryBaseDelay,
-		RetryMaxDelay:    cfg.RetryMaxDelay,
-		BreakerWindow:    cfg.BreakerWindow,
-		BreakerThreshold: cfg.BreakerThreshold,
-		BreakerCooldown:  cfg.BreakerCooldown,
-		Metrics:          reg,
-	}, exec, sched.Hooks{
+	s.sch = sched.New(cfg.Sched, reg, exec, sched.Hooks{
 		AttemptStart: func(j *sched.Job, attempt int) {
 			// Best-effort: a lost running-record only means recovery re-runs
 			// an attempt that never reported back — exactly what it would do
@@ -233,7 +198,7 @@ func New(cfg Config) (*Server, error) {
 			s.logf("job=%s request_id=%s attempt=%d retrying: %v", j.ID(), j.RequestID(), attempt, err)
 			s.journal(store.Record{Type: store.RecAttemptFailed, JobID: j.ID(), Attempt: attempt, Error: err.Error()}) //nolint:errcheck // best-effort
 		},
-		Finished: func(st JobStatus) {
+		Finished: func(st sched.JobStatus) {
 			s.logf("job=%s request_id=%s state=%s attempts=%d", st.ID, st.RequestID, st.State, st.Attempts)
 			s.journalTerminal(st)
 			s.tt.Release(st.ID, st.FinishedAt.Sub(st.CreatedAt))
@@ -432,7 +397,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	req, err := DecodeJobRequest(body)
+	req, err := sched.DecodeJobRequest(body)
 	if err != nil {
 		s.met.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)

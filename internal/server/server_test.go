@@ -21,6 +21,7 @@ import (
 	"sparseadapt/internal/kernels"
 	"sparseadapt/internal/matrix"
 	"sparseadapt/internal/power"
+	"sparseadapt/internal/sched"
 	"sparseadapt/internal/server"
 	"sparseadapt/internal/server/client"
 )
@@ -68,25 +69,25 @@ func idleServer(t *testing.T, cfg server.Config) *client.Client {
 // submitted over HTTP returns a Result identical (through a JSON round
 // trip) to the equivalent in-process host.Runner.RunAdaptiveFull call.
 func TestJobLifecycleMatchesHost(t *testing.T) {
-	_, c := startServer(t, server.Config{Workers: 2})
+	_, c := startServer(t, server.Config{Sched: sched.Config{Workers: 2}})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	req := server.JobRequest{Mode: "adaptive", Kernel: "spmspv", Matrix: "R04", Scale: "test"}
+	req := sched.JobRequest{Mode: "adaptive", Kernel: "spmspv", Matrix: "R04", Scale: "test"}
 	st, err := c.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != server.StateQueued {
+	if st.State != sched.StateQueued {
 		t.Fatalf("submit state = %q, want queued", st.State)
 	}
 
 	var epochs int
 	var sawRunning bool
-	err = c.Stream(ctx, st.ID, func(ev server.Event) error {
+	err = c.Stream(ctx, st.ID, func(ev sched.Event) error {
 		switch ev.Type {
 		case "state":
-			if ev.State == server.StateRunning {
+			if ev.State == sched.StateRunning {
 				sawRunning = true
 			}
 		case "epoch":
@@ -105,7 +106,7 @@ func TestJobLifecycleMatchesHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != server.StateDone || final.Result == nil {
+	if final.State != sched.StateDone || final.Result == nil {
 		t.Fatalf("final = %+v, want done with result", final)
 	}
 	if epochs == 0 || epochs != final.Result.Epochs {
@@ -148,10 +149,10 @@ func TestJobLifecycleMatchesHost(t *testing.T) {
 // TestCacheHitReplaysTrace submits the same job twice and checks the
 // second is served from the cache with the full epoch stream replayed.
 func TestCacheHitReplaysTrace(t *testing.T) {
-	_, c := startServer(t, server.Config{Workers: 1})
+	_, c := startServer(t, server.Config{Sched: sched.Config{Workers: 1}})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	req := server.JobRequest{Mode: "static", Matrix: "R04", Scale: "test"}
+	req := sched.JobRequest{Mode: "static", Matrix: "R04", Scale: "test"}
 
 	first := submitAndWait(t, ctx, c, req)
 	if first.CacheHit {
@@ -165,7 +166,7 @@ func TestCacheHitReplaysTrace(t *testing.T) {
 		t.Errorf("cached result differs: %+v vs %+v", second.Result, first.Result)
 	}
 	epochs := 0
-	if err := c.Stream(ctx, second.ID, func(ev server.Event) error {
+	if err := c.Stream(ctx, second.ID, func(ev sched.Event) error {
 		if ev.Type == "epoch" {
 			epochs++
 		}
@@ -178,7 +179,7 @@ func TestCacheHitReplaysTrace(t *testing.T) {
 	}
 }
 
-func submitAndWait(t *testing.T, ctx context.Context, c *client.Client, req server.JobRequest) server.JobStatus {
+func submitAndWait(t *testing.T, ctx context.Context, c *client.Client, req sched.JobRequest) sched.JobStatus {
 	t.Helper()
 	st, err := c.Submit(ctx, req)
 	if err != nil {
@@ -188,7 +189,7 @@ func submitAndWait(t *testing.T, ctx context.Context, c *client.Client, req serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != server.StateDone {
+	if final.State != sched.StateDone {
 		t.Fatalf("job %s ended %s: %s", st.ID, final.State, final.Error)
 	}
 	return final
@@ -197,9 +198,9 @@ func submitAndWait(t *testing.T, ctx context.Context, c *client.Client, req serv
 // TestQueueFullRejects fills the admission queue of a server whose workers
 // never start and checks the overflow submission gets 429 + Retry-After.
 func TestQueueFullRejects(t *testing.T) {
-	c := idleServer(t, server.Config{QueueDepth: 2})
+	c := idleServer(t, server.Config{Sched: sched.Config{QueueDepth: 2}})
 	ctx := context.Background()
-	req := server.JobRequest{Matrix: "R04"}
+	req := sched.JobRequest{Matrix: "R04"}
 	for i := 0; i < 2; i++ {
 		if _, err := c.Submit(ctx, req); err != nil {
 			t.Fatalf("submit %d within queue depth: %v", i, err)
@@ -220,12 +221,12 @@ func TestQueueFullRejects(t *testing.T) {
 
 // TestRateLimitRejects exhausts the per-client token bucket.
 func TestRateLimitRejects(t *testing.T) {
-	c := idleServer(t, server.Config{RatePerSec: 0.01, Burst: 1, QueueDepth: 16})
+	c := idleServer(t, server.Config{Sched: sched.Config{QueueDepth: 16}, RatePerSec: 0.01, Burst: 1})
 	ctx := context.Background()
-	if _, err := c.Submit(ctx, server.JobRequest{Matrix: "R04"}); err != nil {
+	if _, err := c.Submit(ctx, sched.JobRequest{Matrix: "R04"}); err != nil {
 		t.Fatalf("first submit within burst: %v", err)
 	}
-	_, err := c.Submit(ctx, server.JobRequest{Matrix: "R04"})
+	_, err := c.Submit(ctx, sched.JobRequest{Matrix: "R04"})
 	apiErr, ok := err.(*client.APIError)
 	if !ok || apiErr.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("rate-limited submit = %v, want 429", err)
@@ -283,12 +284,12 @@ func TestOversizedUploadRejected(t *testing.T) {
 // terminal status of its SSE result event echoes the upload's size and
 // digest, not the body.
 func TestMatrixMarketUpload(t *testing.T) {
-	_, c := startServer(t, server.Config{Workers: 1})
+	_, c := startServer(t, server.Config{Sched: sched.Config{Workers: 1}})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	mm := "%%MatrixMarket matrix coordinate real general\n" +
 		"4 4 6\n1 1 2.0\n2 2 3.0\n3 3 1.0\n4 4 4.0\n1 3 1.5\n4 1 0.5\n"
-	final := submitAndWait(t, ctx, c, server.JobRequest{Mode: "static", MatrixMarket: mm})
+	final := submitAndWait(t, ctx, c, sched.JobRequest{Mode: "static", MatrixMarket: mm})
 	if final.Result.Epochs == 0 {
 		t.Error("uploaded-matrix job produced no epochs")
 	}
@@ -359,12 +360,12 @@ func TestStatusEchoOmitsUpload(t *testing.T) {
 		}
 		return out
 	}
-	reqBody, err := json.Marshal(server.JobRequest{Mode: "static", MatrixMarket: mm})
+	reqBody, err := json.Marshal(sched.JobRequest{Mode: "static", MatrixMarket: mm})
 	if err != nil {
 		t.Fatal(err)
 	}
 	submitted := send(http.MethodPost, "/v1/jobs", reqBody)
-	var st server.JobStatus
+	var st sched.JobStatus
 	if err := json.Unmarshal(submitted, &st); err != nil {
 		t.Fatalf("decoding the 202: %v\n%s", err, submitted)
 	}
@@ -395,14 +396,14 @@ func TestStatusEchoOmitsUpload(t *testing.T) {
 func TestSSEClientDisconnect(t *testing.T) {
 	c := idleServer(t, server.Config{})
 	ctx := context.Background()
-	st, err := c.Submit(ctx, server.JobRequest{Matrix: "R04"})
+	st, err := c.Submit(ctx, sched.JobRequest{Matrix: "R04"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	done := make(chan error, 1)
 	go func() {
-		done <- c.Stream(sctx, st.ID, func(server.Event) error { return nil })
+		done <- c.Stream(sctx, st.ID, func(sched.Event) error { return nil })
 	}()
 	// Let the subscription register, then drop the client.
 	waitMetric(t, c, "server_sse_clients 1")
@@ -442,7 +443,7 @@ func waitMetric(t *testing.T, c *client.Client, line string) {
 func TestCancelQueuedJob(t *testing.T) {
 	c := idleServer(t, server.Config{})
 	ctx := context.Background()
-	st, err := c.Submit(ctx, server.JobRequest{Matrix: "R04"})
+	st, err := c.Submit(ctx, sched.JobRequest{Matrix: "R04"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +451,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != server.StateCanceled {
+	if got.State != sched.StateCanceled {
 		t.Fatalf("state after cancel = %q, want canceled", got.State)
 	}
 	if _, err := c.Cancel(ctx, st.ID); err == nil {
@@ -461,12 +462,12 @@ func TestCancelQueuedJob(t *testing.T) {
 // TestDrainCompletesInflight submits jobs, drains, and checks every job
 // reached a terminal state and post-drain submissions are refused.
 func TestDrainCompletesInflight(t *testing.T) {
-	s, c := startServer(t, server.Config{Workers: 1})
+	s, c := startServer(t, server.Config{Sched: sched.Config{Workers: 1}})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	var ids []string
 	for i := 0; i < 3; i++ {
-		st, err := c.Submit(ctx, server.JobRequest{Mode: "static", Matrix: "R04"})
+		st, err := c.Submit(ctx, sched.JobRequest{Mode: "static", Matrix: "R04"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,11 +481,11 @@ func TestDrainCompletesInflight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != server.StateDone {
+		if st.State != sched.StateDone {
 			t.Errorf("job %s after drain: %s (%s), want done", id, st.State, st.Error)
 		}
 	}
-	_, err := c.Submit(ctx, server.JobRequest{Matrix: "R04"})
+	_, err := c.Submit(ctx, sched.JobRequest{Matrix: "R04"})
 	apiErr, ok := err.(*client.APIError)
 	if !ok || apiErr.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain submit = %v, want 503", err)
@@ -493,7 +494,7 @@ func TestDrainCompletesInflight(t *testing.T) {
 
 // TestProbesAndInventory covers the operational endpoints.
 func TestProbesAndInventory(t *testing.T) {
-	s, c := startServer(t, server.Config{Workers: 1})
+	s, c := startServer(t, server.Config{Sched: sched.Config{Workers: 1}})
 	ctx := context.Background()
 	for _, path := range []string{"/healthz", "/readyz", "/version", "/metrics", "/debug/pprof/cmdline"} {
 		resp, err := http.Get(c.Base + path)

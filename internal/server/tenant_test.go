@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"sparseadapt/internal/fault"
+	"sparseadapt/internal/sched"
 	"sparseadapt/internal/server"
 	"sparseadapt/internal/server/client"
 	"sparseadapt/internal/tenant"
@@ -64,7 +65,7 @@ func postJob(t *testing.T, url, body string, hdr map[string]string) *http.Respon
 
 func TestTenantQuotaAdmission(t *testing.T) {
 	_, ts := startTenantServer(t, server.Config{
-		QueueDepth:  16,
+		Sched:       sched.Config{QueueDepth: 16},
 		TenantQuota: tenant.Quota{MaxInflight: 1},
 	}, false)
 
@@ -76,7 +77,7 @@ func TestTenantQuotaAdmission(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("header submit: %d", resp.StatusCode)
 	}
-	var st server.JobStatus
+	var st sched.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +170,19 @@ func TestTenantSoak(t *testing.T) {
 		FailFirst: 1, JournalErr: 0.05, CacheCorrupt: 0.2, Seed: 77,
 	})
 	srv, ts := startTenantServer(t, server.Config{
-		Workers: 3, QueueDepth: 64, StoreDir: t.TempDir(), CacheDir: t.TempDir(),
-		MaxAttempts: 3,
-		// FailFirst=1 + a 20ms retry floor give every job a guaranteed
-		// minimum runtime, so back-to-back submission reliably presses each
-		// tenant's inflight depth against MaxInflight.
-		RetryBaseDelay: 20 * time.Millisecond, RetryMaxDelay: 40 * time.Millisecond,
-		// Every first attempt fails by design; the breaker would correctly
-		// shed under that, which is not what this test probes.
-		BreakerThreshold: 2,
-		Chaos:            inj,
-		TenantQuota:      tenant.Quota{MaxInflight: 2, RatePerSec: 500, Burst: 4},
+		Sched: sched.Config{
+			Workers: 3, QueueDepth: 64, MaxAttempts: 3,
+			// FailFirst=1 + a 20ms retry floor give every job a guaranteed
+			// minimum runtime, so back-to-back submission reliably presses each
+			// tenant's inflight depth against MaxInflight.
+			RetryBaseDelay: 20 * time.Millisecond, RetryMaxDelay: 40 * time.Millisecond,
+			// Every first attempt fails by design; the breaker would correctly
+			// shed under that, which is not what this test probes.
+			BreakerThreshold: 2,
+		},
+		StoreDir: t.TempDir(), CacheDir: t.TempDir(),
+		Chaos:       inj,
+		TenantQuota: tenant.Quota{MaxInflight: 2, RatePerSec: 500, Burst: 4},
 	}, true)
 
 	tenants := []struct {
@@ -207,7 +210,7 @@ func TestTenantSoak(t *testing.T) {
 			// actually presses against MaxInflight; then wait for the lot.
 			ids := make([]string, 0, jobsPerTenant)
 			for i := 0; i < jobsPerTenant; i++ {
-				req := server.JobRequest{
+				req := sched.JobRequest{
 					Mode: "static", Matrix: "R04", Scale: "test",
 					Seed: int64(100*ti + i), Tenant: id, Priority: prio,
 				}
@@ -224,7 +227,7 @@ func TestTenantSoak(t *testing.T) {
 					t.Errorf("%s wait %d: %v", id, i, err)
 					return
 				}
-				if final.State != server.StateDone {
+				if final.State != sched.StateDone {
 					t.Errorf("%s job %d ended %s: %s", id, i, final.State, final.Error)
 				}
 				mu.Lock()
