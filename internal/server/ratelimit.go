@@ -1,10 +1,11 @@
 package server
 
 import (
-	"math"
 	"net"
 	"sync"
 	"time"
+
+	"sparseadapt/internal/tenant"
 )
 
 // rateLimiter is the per-client admission throttle: one token bucket per
@@ -16,20 +17,15 @@ type rateLimiter struct {
 	burst float64
 
 	mu      sync.Mutex
-	buckets map[string]*bucket
+	buckets map[string]*tenant.Bucket
 	sweep   time.Time
-}
-
-type bucket struct {
-	tokens float64
-	last   time.Time
 }
 
 func newRateLimiter(rate float64, burst int) *rateLimiter {
 	if burst < 1 {
 		burst = 1
 	}
-	return &rateLimiter{rate: rate, burst: float64(burst), buckets: map[string]*bucket{}}
+	return &rateLimiter{rate: rate, burst: float64(burst), buckets: map[string]*tenant.Bucket{}}
 }
 
 // clientKey reduces a RemoteAddr to its host part, so all connections from
@@ -52,23 +48,16 @@ func (rl *rateLimiter) allow(client string, now time.Time) (bool, time.Duration)
 	defer rl.mu.Unlock()
 	if now.Sub(rl.sweep) > time.Hour {
 		for k, b := range rl.buckets {
-			if now.Sub(b.last) > time.Hour {
+			if b.Idle(now) > time.Hour {
 				delete(rl.buckets, k)
 			}
 		}
 		rl.sweep = now
 	}
-	b, ok := rl.buckets[client]
-	if !ok {
-		b = &bucket{tokens: rl.burst, last: now}
+	b := rl.buckets[client]
+	if b == nil {
+		b = &tenant.Bucket{}
 		rl.buckets[client] = b
 	}
-	b.tokens = math.Min(rl.burst, b.tokens+now.Sub(b.last).Seconds()*rl.rate)
-	b.last = now
-	if b.tokens >= 1 {
-		b.tokens--
-		return true, 0
-	}
-	wait := time.Duration((1 - b.tokens) / rl.rate * float64(time.Second))
-	return false, wait
+	return b.Take(rl.rate, rl.burst, now)
 }

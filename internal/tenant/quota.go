@@ -34,6 +34,34 @@ type Quota struct {
 // Enabled reports whether the quota restricts anything.
 func (q Quota) Enabled() bool { return q.MaxInflight > 0 || q.RatePerSec > 0 }
 
+// Bucket is a submission token bucket: it starts full and refills
+// continuously at the rate Take is given, capped at the burst. The tenant
+// tracker keeps one per tenant and the server one per client address.
+type Bucket struct {
+	tokens float64
+	last   time.Time // zero until the first Take
+}
+
+// Take refills the bucket to now and takes one token. When less than one
+// token is left it takes none and reports how long until one accrues, the
+// Retry-After hint.
+func (b *Bucket) Take(rate, burst float64, now time.Time) (bool, time.Duration) {
+	if b.last.IsZero() {
+		b.tokens = burst
+	} else {
+		b.tokens = math.Min(burst, b.tokens+now.Sub(b.last).Seconds()*rate)
+	}
+	b.last = now
+	if b.tokens < 1 {
+		return false, time.Duration((1 - b.tokens) / rate * float64(time.Second))
+	}
+	b.tokens--
+	return true, 0
+}
+
+// Idle returns how long the bucket has gone untouched at now.
+func (b *Bucket) Idle(now time.Time) time.Duration { return now.Sub(b.last) }
+
 // TenantSnapshot is one tenant's admission state as /v1/tenants reports it.
 type TenantSnapshot struct {
 	ID            string  `json:"id"`
@@ -50,8 +78,7 @@ type TenantSnapshot struct {
 type tenantState struct {
 	class    Class
 	inflight int
-	tokens   float64
-	last     time.Time
+	bucket   Bucket
 
 	admitted      int64
 	finished      int64
@@ -84,7 +111,7 @@ func NewTracker(q Quota, reg *obs.Registry) *Tracker {
 func (t *Tracker) state(id string) *tenantState {
 	s := t.tenants[id]
 	if s == nil {
-		s = &tenantState{tokens: t.quota.Burst, class: Batch}
+		s = &tenantState{class: Batch}
 		t.tenants[id] = s
 	}
 	return s
@@ -104,16 +131,11 @@ func (t *Tracker) Admit(tenantID string, class Class, now time.Time) (time.Durat
 	s.class = class
 
 	if r := t.quota.RatePerSec; r > 0 {
-		if !s.last.IsZero() {
-			s.tokens = math.Min(t.quota.Burst, s.tokens+now.Sub(s.last).Seconds()*r)
-		}
-		s.last = now
-		if s.tokens < 1 {
+		if ok, wait := s.bucket.Take(r, t.quota.Burst, now); !ok {
 			s.rejectedRate++
 			t.count("tenant_rejected_rate_total", "submissions rejected by a tenant token bucket")
-			return time.Duration((1 - s.tokens) / r * float64(time.Second)), ErrRate
+			return wait, ErrRate
 		}
-		s.tokens--
 	}
 	if max := t.quota.MaxInflight; max > 0 && s.inflight >= max {
 		s.rejectedQuota++
