@@ -49,17 +49,6 @@ func NewObserver(reg *obs.Registry, trace *obs.TraceRecorder) *Observer {
 	return &Observer{Metrics: reg, Trace: trace}
 }
 
-// counterMap flattens the Table 2 telemetry into the trace's counter map.
-func counterMap(c sim.Counters) map[string]float64 {
-	names := sim.FeatureNames()
-	vals := c.Features()
-	m := make(map[string]float64, len(names))
-	for i, n := range names {
-		m[n] = vals[i]
-	}
-	return m
-}
-
 // epoch opens the record for one completed epoch (flushing the previous
 // one) and advances the simulated-time cursor, so subsequent reconfig and
 // event instants land on this epoch's end boundary.
@@ -86,7 +75,7 @@ func (o *Observer) epoch(idx int, log EpochLog) {
 		Tenant:           o.Tenant,
 	}
 	if o.TraceCounters {
-		rec.Counters = counterMap(log.Counters)
+		rec.Counters = log.Counters.FeatureMap()
 	}
 	o.pend, o.pendLog = rec, log
 	o.pendPenalty = 0

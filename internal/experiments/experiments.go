@@ -45,12 +45,6 @@ type Scale struct {
 	// training-sweep generation; nil runs everything serially and uncached.
 	// Results are identical either way — the engine only changes wall time.
 	Eng *engine.Engine
-	// Memo, when non-nil, memoizes whole epoch replays in memory
-	// (sim.RunMemo), so recordings whose rows were already simulated this
-	// process — by another experiment, mode or daemon job over the same
-	// workload — are served without re-simulating. Byte-identical results
-	// either way; nil disables it (benchmarks do, to measure the raw pool).
-	Memo *sim.RunMemo
 }
 
 // TestScale is small enough for unit tests and benchmarks.

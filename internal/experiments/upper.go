@@ -21,7 +21,7 @@ func init() {
 func recordFor(sc Scale, w kernels.Workload, l1Type int, epochScale float64) (*oracle.Recording, error) {
 	rng := rand.New(rand.NewSource(sc.Seed + 7))
 	cfgs := oracle.SampleConfigs(rng, sc.OracleSamples, l1Type)
-	return oracle.RecordSourceEngine(context.Background(), sc.Eng, sc.Memo, sc.Chip, sc.BW, kernels.Fixed(w), epochScale, cfgs)
+	return oracle.RecordSourceEngine(context.Background(), sc.Eng, nil, sc.Chip, sc.BW, kernels.Fixed(w), epochScale, cfgs)
 }
 
 // baselineOf extracts the static-Baseline totals from a recording.

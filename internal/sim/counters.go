@@ -51,6 +51,18 @@ func (c Counters) Features() []float64 {
 	}
 }
 
+// FeatureMap returns the counters keyed by their FeatureNames, the form
+// epoch trace records carry.
+func (c Counters) FeatureMap() map[string]float64 {
+	names := FeatureNames()
+	vals := c.Features()
+	m := make(map[string]float64, len(names))
+	for i, n := range names {
+		m[n] = vals[i]
+	}
+	return m
+}
+
 // FeatureNames returns the telemetry feature names in Features order.
 func FeatureNames() []string {
 	return []string{
