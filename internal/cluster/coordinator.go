@@ -211,8 +211,9 @@ func (c *Coordinator) place(ctx context.Context, j *sched.Job, attempt int) (*sc
 		c.met.loadDeferrals.Inc()
 	}
 	candidates = reordered
-	mem := c.mem.get(candidates[(attempt-1)%len(candidates)])
-	if mem == nil {
+	id := candidates[(attempt-1)%len(candidates)]
+	base, down, ok := c.mem.get(id)
+	if !ok {
 		// The sweeper declared it dead between the successor walk and now.
 		c.met.placementFailures.Inc()
 		return nil, false, fmt.Errorf("placement target died before submit")
@@ -227,13 +228,13 @@ func (c *Coordinator) place(ctx context.Context, j *sched.Job, attempt int) (*sc
 	defer cancel()
 	go func() {
 		select {
-		case <-mem.down:
+		case <-down:
 			cancel()
 		case <-wctx.Done():
 		}
 	}()
 
-	cl := client.New(mem.base)
+	cl := client.New(base)
 	st, err := cl.SubmitWithRequestID(wctx, j.Request(), j.RequestID())
 	if err != nil {
 		c.met.placementFailures.Inc()
@@ -242,7 +243,7 @@ func (c *Coordinator) place(ctx context.Context, j *sched.Job, attempt int) (*sc
 		}
 		// %v, not %w: a worker-side context error must not read as OUR
 		// cancellation, or the scheduler would finalize instead of retry.
-		return nil, false, fmt.Errorf("worker %s rejected job: %v", mem.id, err)
+		return nil, false, fmt.Errorf("worker %s rejected job: %v", id, err)
 	}
 	remoteID := st.ID
 
@@ -266,7 +267,7 @@ func (c *Coordinator) place(ctx context.Context, j *sched.Job, attempt int) (*sc
 		// Our side canceled (client DELETE, drain deadline, job timeout):
 		// propagate to the worker so it stops burning cycles, then report
 		// the cancellation upward.
-		c.cancelRemote(mem.base, remoteID)
+		c.cancelRemote(base, remoteID)
 		return nil, false, ctx.Err()
 	}
 	if final == nil {
@@ -274,16 +275,16 @@ func (c *Coordinator) place(ctx context.Context, j *sched.Job, attempt int) (*sc
 		// severed connection. Fail the attempt; retry re-places it.
 		c.met.placementFailures.Inc()
 		c.met.jobsRequeued.Inc()
-		return nil, false, fmt.Errorf("worker %s lost mid-job: %v", mem.id, serr)
+		return nil, false, fmt.Errorf("worker %s lost mid-job: %v", id, serr)
 	}
 	switch final.State {
 	case sched.StateDone:
 		return final.Result, final.CacheHit, nil
 	case sched.StateCanceled:
 		// We did not cancel, so the worker shed it (drain): transient.
-		return nil, false, fmt.Errorf("worker %s shed the job: %s", mem.id, final.Error)
+		return nil, false, fmt.Errorf("worker %s shed the job: %s", id, final.Error)
 	default: // failed, quarantined
-		return nil, false, fmt.Errorf("worker %s reported %s: %s", mem.id, final.State, final.Error)
+		return nil, false, fmt.Errorf("worker %s reported %s: %s", id, final.State, final.Error)
 	}
 }
 

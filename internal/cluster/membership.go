@@ -115,15 +115,17 @@ func (m *membership) sweep(now time.Time, timeout time.Duration) []string {
 	return dead
 }
 
-// get returns the live member record for id, or nil.
-func (m *membership) get(id string) *member {
+// get returns the base URL and down channel of live member id; ok is
+// false for unknown or dead members. Both are read under the lock: every
+// heartbeat rewrites the member's record.
+func (m *membership) get(id string) (base string, down <-chan struct{}, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mem := m.members[id]
 	if mem == nil || !mem.alive {
-		return nil
+		return "", nil, false
 	}
-	return mem
+	return mem.base, mem.down, true
 }
 
 // alive counts live members.

@@ -20,6 +20,20 @@ func FuzzFormatConverters(f *testing.F) {
 	f.Add(uint8(2), uint8(2), []byte{0, 2, 1}, []byte{1, 0})       // decreasing pointer
 	f.Add(uint8(2), uint8(2), []byte{0, 1, 2}, []byte{5, 1})       // column out of bounds
 	f.Add(uint8(4), uint8(4), []byte{0, 2, 2, 2, 2}, []byte{1, 1}) // duplicate column
+	// COO inputs compress picks its path on (an entry is a byte pair).
+	f.Add(uint8(3), uint8(3), []byte{0}, []byte{0, 0, 0, 2, 1, 1, 2, 3, 3, 0})       // row-major
+	f.Add(uint8(3), uint8(3), []byte{0}, []byte{0, 0, 3, 0, 1, 1, 0, 2, 2, 3})       // column-major
+	f.Add(uint8(3), uint8(3), []byte{0}, []byte{2, 3, 0, 0, 3, 0, 1, 1, 0, 2})       // shuffled
+	f.Add(uint8(3), uint8(3), []byte{0}, []byte{1, 1, 0, 0, 1, 1})                   // repeated 2 times
+	f.Add(uint8(3), uint8(3), []byte{0}, []byte{1, 1, 0, 0, 1, 1, 2, 2, 1, 1})       // repeated 3 times
+	f.Add(uint8(9), uint8(9), []byte{0}, []byte{1, 1, 5, 3, 9, 9, 7, 3, 8, 8, 3, 3}) // empty rows and columns
+	f.Add(uint8(0), uint8(0), []byte{0}, []byte{0, 0})                               // 1×1
+	hub := []byte{0, 1, 2, 0}
+	for _, r := range []byte{17, 3, 30, 8, 25, 0, 12, 39, 21, 5, 34, 14, 28, 1, 19, 10, 36, 23, 6, 31} {
+		hub = append(hub, r, 2)
+	}
+	f.Add(uint8(39), uint8(3), []byte{0}, hub)                // hub column
+	f.Add(uint8(39), uint8(3), []byte{0}, append(hub, 10, 2)) // hub column with a repeat
 	f.Fuzz(func(t *testing.T, rows, cols uint8, ptrBytes, idxBytes []byte) {
 		r, c := int(rows%40), int(cols%40)
 
@@ -84,6 +98,14 @@ func FuzzFormatConverters(f *testing.F) {
 		// sort.Slice reference does.
 		for i := range coo.V {
 			coo.V[i] = math.Pow(10, float64(i%9-4)) / float64(i+3)
+		}
+		checkCompressAgainstReference(t, coo)
+
+		// NaN probe: the same coordinates holding NaNs of both signs and
+		// distinct payloads, whose sums keep the bits of the term added
+		// first.
+		for i := range coo.V {
+			coo.V[i] = math.Float64frombits(0x7ff8000000000000 | uint64(i%2)<<63 | uint64(i+1))
 		}
 		checkCompressAgainstReference(t, coo)
 	})

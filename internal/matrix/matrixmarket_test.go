@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -226,21 +227,38 @@ func BenchmarkParseMatrixMarket(b *testing.B) {
 	})
 }
 
+// BenchmarkCOOToCSC compresses three inputs. The median upload and the
+// same entries in column-major order have distinct coordinates and take
+// the bucket sort; the R-MAT dataset entry P1 (25,000 entries in random
+// order, with repeats and hub columns) takes the comparison sort.
 func BenchmarkCOOToCSC(b *testing.B) {
-	m, err := ParseMatrixMarket(uploadBody(1, 2000, 5500))
+	upload, err := ParseMatrixMarket(uploadBody(1, 2000, 5500))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("slices", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.ToCSC()
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			referenceCompressed(m, false)
-		}
-	})
+	colMajor := &COO{Rows: upload.Rows, Cols: upload.Cols,
+		R: append([]int(nil), upload.R...), C: append([]int(nil), upload.C...), V: append([]float64(nil), upload.V...)}
+	sort.Sort(cooOrder{colMajor, false})
+	p1, err := Entry("P1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []namedCOO{
+		{"median-upload", upload},
+		{"column-major", colMajor},
+		{"rmat-P1", p1.Generate(1, 1)},
+	} {
+		b.Run(in.name+"/compress", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				in.m.ToCSC()
+			}
+		})
+		b.Run(in.name+"/reference", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				referenceCompressed(in.m, false)
+			}
+		})
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -203,13 +204,23 @@ func sameBits(ptrA, idxA []int, valA []float64, ptrB, idxB []int, valB []float64
 // the reference compression bit for bit.
 func checkCompressAgainstReference(t *testing.T, m *COO) {
 	t.Helper()
+	checkCSRAgainstReference(t, m)
+	checkCSCAgainstReference(t, m)
+}
+
+func checkCSRAgainstReference(t *testing.T, m *COO) {
+	t.Helper()
 	csr := m.ToCSR()
 	ptr, idx, val := referenceCompressed(m, true)
 	if !sameBits(csr.RowPtr, csr.ColIdx, csr.Val, ptr, idx, val) {
 		t.Fatalf("ToCSR differs from the sort.Slice reference on %d entries %dx%d", m.NNZ(), m.Rows, m.Cols)
 	}
+}
+
+func checkCSCAgainstReference(t *testing.T, m *COO) {
+	t.Helper()
 	csc := m.ToCSC()
-	ptr, idx, val = referenceCompressed(m, false)
+	ptr, idx, val := referenceCompressed(m, false)
 	if !sameBits(csc.ColPtr, csc.RowIdx, csc.Val, ptr, idx, val) {
 		t.Fatalf("ToCSC differs from the sort.Slice reference on %d entries %dx%d", m.NNZ(), m.Rows, m.Cols)
 	}
@@ -263,7 +274,10 @@ func (o cooOrder) Swap(i, j int) {
 // TestCompressMatchesReference fences the COO sort: over matrices full of
 // three-fold and larger duplicates with inexact values, ToCSR and ToCSC
 // must sum every duplicate in the order the sort.Slice reference does. A
-// stable or counting sort adds a run in input order and fails here.
+// stable sort, or a counting sort over repeated coordinates, adds a run
+// in input order and fails here. The crafted inputs are the ones
+// compress picks its path on: distinct coordinates in every order take
+// the bucket sort, one repeat anywhere the comparison sort.
 func TestCompressMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 3000; i++ {
@@ -277,6 +291,133 @@ func TestCompressMatchesReference(t *testing.T) {
 		}
 		checkCompressAgainstReference(t, m)
 	}
+	for _, c := range compressCases(rng) {
+		t.Run(c.name, func(t *testing.T) { checkCompressAgainstReference(t, c.m) })
+	}
+	// A MaxDim-wide matrix compressed by row, and a MaxDim-tall one by
+	// column: the minor dimension is MaxDim, and compress allocates
+	// nothing sized by it.
+	wide := NewCOO(3, MaxDim)
+	for _, c := range []int{MaxDim - 1, 0, 77, MaxDim / 2} {
+		wide.Add(rng.Intn(3), c, inexact(rng))
+	}
+	tall := &COO{Rows: MaxDim, Cols: 3, R: wide.C, C: wide.R, V: wide.V}
+	wideRepeat := shuffled(rng, wide)
+	wideRepeat.Add(wide.R[0], wide.C[0], inexact(rng))
+	for name, check := range map[string]func(){
+		"wide/csr":        func() { checkCSRAgainstReference(t, wide) },
+		"wide/repeat/csr": func() { checkCSRAgainstReference(t, wideRepeat) },
+		"tall/csc":        func() { checkCSCAgainstReference(t, tall) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		check()
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("%s: compressing 4 entries with minor dimension MaxDim allocated %d bytes", name, n)
+		}
+	}
+}
+
+// inexact draws a value spread over 16 orders of magnitude, so sums of
+// three or more change with the order their terms are added in.
+func inexact(rng *rand.Rand) float64 {
+	return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(17)-8))
+}
+
+// distinctCOO draws a rows×cols matrix of n entries at distinct
+// coordinates with inexact values, in row-major order.
+func distinctCOO(rng *rand.Rand, rows, cols, n int) *COO {
+	m := NewCOO(rows, cols)
+	for _, k := range rng.Perm(rows * cols)[:n] {
+		m.Add(k/cols, k%cols, inexact(rng))
+	}
+	sort.Sort(cooOrder{m, true})
+	return m
+}
+
+// shuffled returns m's entries in a random order.
+func shuffled(rng *rand.Rand, m *COO) *COO {
+	out := &COO{Rows: m.Rows, Cols: m.Cols,
+		R: append([]int(nil), m.R...), C: append([]int(nil), m.C...), V: append([]float64(nil), m.V...)}
+	rng.Shuffle(out.NNZ(), cooOrder{out, true}.Swap)
+	return out
+}
+
+type namedCOO struct {
+	name string
+	m    *COO
+}
+
+// compressCases are the inputs compress decides its path on.
+func compressCases(rng *rand.Rand) []namedCOO {
+	rowMajor := distinctCOO(rng, 40, 30, 500)
+	colMajor := shuffled(rng, rowMajor)
+	sort.Sort(cooOrder{colMajor, false})
+	cases := []namedCOO{
+		{"distinct/row-major", rowMajor},
+		{"distinct/column-major", colMajor},
+		{"distinct/shuffled", shuffled(rng, rowMajor)},
+	}
+	add := func(name string, m *COO) { cases = append(cases, namedCOO{name, m}) }
+	// One coordinate repeated 2 and 3 times, early and late in the
+	// major order, with inexact sums.
+	for _, times := range []int{2, 3} {
+		for _, at := range []int{0, rowMajor.NNZ() - 1} {
+			m := shuffled(rng, rowMajor)
+			for k := 1; k < times; k++ {
+				m.Add(rowMajor.R[at], rowMajor.C[at], inexact(rng))
+			}
+			add(fmt.Sprintf("repeat-%d/entry-%d", times, at), shuffled(rng, m))
+		}
+	}
+	// Repeated coordinates holding NaNs of both signs and different
+	// payloads: a NaN sum keeps the bits of the term added first.
+	nans := shuffled(rng, rowMajor)
+	for k, bits := range []uint64{0x7ff8000000000001, 0xfff8000000000002, 0x7ff8000000000003} {
+		nans.Add(3, 4, math.Float64frombits(bits))
+		if k < 2 {
+			nans.Add(5, 6, math.Float64frombits(bits^0x8000000000000000))
+		}
+	}
+	add("repeat-nan", shuffled(rng, nans))
+	// One hub column holding most of the entries, more than an
+	// insertion-sorted bucket takes, in random order; its transpose is a
+	// hub row. A repeat in the hub shows only once its bucket is sorted.
+	hub := NewCOO(300, 50)
+	hubRows := rng.Perm(300)[:250]
+	for _, r := range hubRows {
+		hub.Add(r, 7, inexact(rng))
+	}
+	for _, k := range rng.Perm(300 * 49)[:60] {
+		c := k % 49
+		if c >= 7 {
+			c++
+		}
+		hub.Add(k/49, c, inexact(rng))
+	}
+	hub = shuffled(rng, hub)
+	add("hub-column", hub)
+	add("hub-row", &COO{Rows: hub.Cols, Cols: hub.Rows, R: hub.C, C: hub.R, V: hub.V})
+	hubRepeat := shuffled(rng, hub)
+	hubRepeat.Add(hubRows[100], 7, inexact(rng))
+	add("hub-column/repeat", shuffled(rng, hubRepeat))
+	// Empty rows and columns, the first and last among them.
+	gaps := NewCOO(50, 40)
+	for _, k := range rng.Perm(25 * 20)[:100] {
+		gaps.Add(2*(k/20), 2*(k%20)+1, inexact(rng))
+	}
+	add("empty-rows-and-columns", shuffled(rng, gaps))
+	add("1x1/empty", NewCOO(1, 1))
+	one := NewCOO(1, 1)
+	one.Add(0, 0, inexact(rng))
+	add("1x1", one)
+	three := NewCOO(1, 1)
+	for k := 0; k < 3; k++ {
+		three.Add(0, 0, inexact(rng))
+	}
+	add("1x1/repeat-3", three)
+	return cases
 }
 
 // sameCOO reports whether two COO matrices hold the same entries in the

@@ -92,13 +92,20 @@ type JobRequest struct {
 // reason knowable at submission time must be rejected with a 400 at the
 // door, not occupy a queue slot first.
 func (r *JobRequest) Validate() error {
+	_, err := r.validate()
+	return err
+}
+
+// validate is Validate returning the parse of a matrix_market upload, nil
+// for a request on a dataset entry.
+func (r *JobRequest) validate() (upload *matrix.COO, err error) {
 	if r.Mode == "" {
 		r.Mode = ModeAdaptive
 	}
 	switch r.Mode {
 	case ModeStatic, ModeAdaptive, ModeResilient, ModeBatch:
 	default:
-		return fmt.Errorf("unknown mode %q (static|adaptive|resilient|batch)", r.Mode)
+		return nil, fmt.Errorf("unknown mode %q (static|adaptive|resilient|batch)", r.Mode)
 	}
 	if r.Kernel == "" {
 		r.Kernel = "spmspv"
@@ -106,24 +113,24 @@ func (r *JobRequest) Validate() error {
 	switch r.Kernel {
 	case "spmspm", "spmspv", "bfs", "sssp":
 	default:
-		return fmt.Errorf("unknown kernel %q (spmspm|spmspv|bfs|sssp)", r.Kernel)
+		return nil, fmt.Errorf("unknown kernel %q (spmspm|spmspv|bfs|sssp)", r.Kernel)
 	}
 	if r.Matrix != "" && r.MatrixMarket != "" {
-		return fmt.Errorf("matrix and matrix_market are mutually exclusive")
+		return nil, fmt.Errorf("matrix and matrix_market are mutually exclusive")
 	}
 	if r.Matrix == "" && r.MatrixMarket == "" {
 		r.Matrix = "R04"
 	}
 	if r.Matrix != "" {
 		if _, err := matrix.Entry(r.Matrix); err != nil {
-			return fmt.Errorf("unknown dataset entry %q", r.Matrix)
+			return nil, fmt.Errorf("unknown dataset entry %q", r.Matrix)
 		}
 	}
 	if r.MatrixMarket != "" {
-		// The same parse the job runs: a malformed body, or one declaring
+		// The parse the job runs: a malformed body, or one declaring
 		// dimensions above matrix.MaxDim, fails here instead of in the job.
-		if _, err := matrix.ParseMatrixMarket(r.MatrixMarket); err != nil {
-			return fmt.Errorf("matrix_market: %w", err)
+		if upload, err = matrix.ParseMatrixMarket(r.MatrixMarket); err != nil {
+			return nil, fmt.Errorf("matrix_market: %w", err)
 		}
 	}
 	if r.Scale == "" {
@@ -132,7 +139,7 @@ func (r *JobRequest) Validate() error {
 	switch r.Scale {
 	case "test", "small", "paper":
 	default:
-		return fmt.Errorf("unknown scale %q (test|small|paper)", r.Scale)
+		return nil, fmt.Errorf("unknown scale %q (test|small|paper)", r.Scale)
 	}
 	if r.OptMode == "" {
 		r.OptMode = "ee"
@@ -140,15 +147,15 @@ func (r *JobRequest) Validate() error {
 	switch r.OptMode {
 	case "ee", "pp":
 	default:
-		return fmt.Errorf("unknown opt_mode %q (ee|pp)", r.OptMode)
+		return nil, fmt.Errorf("unknown opt_mode %q (ee|pp)", r.OptMode)
 	}
 	switch r.Policy {
 	case "", "conservative", "aggressive", "hybrid":
 	default:
-		return fmt.Errorf("unknown policy %q (conservative|aggressive|hybrid)", r.Policy)
+		return nil, fmt.Errorf("unknown policy %q (conservative|aggressive|hybrid)", r.Policy)
 	}
 	if r.Tolerance < 0 || r.Tolerance > 10 {
-		return fmt.Errorf("tolerance %g out of range [0, 10]", r.Tolerance)
+		return nil, fmt.Errorf("tolerance %g out of range [0, 10]", r.Tolerance)
 	}
 	if r.Config == "" {
 		r.Config = "baseline"
@@ -156,24 +163,27 @@ func (r *JobRequest) Validate() error {
 	switch r.Config {
 	case "baseline", "best-avg", "max":
 	default:
-		return fmt.Errorf("unknown config %q (baseline|best-avg|max)", r.Config)
+		return nil, fmt.Errorf("unknown config %q (baseline|best-avg|max)", r.Config)
 	}
 	if r.Faults != "" && r.Mode != ModeResilient {
-		return fmt.Errorf("faults requires mode resilient")
+		return nil, fmt.Errorf("faults requires mode resilient")
 	}
 	if r.Count < 0 || r.Count > 1024 {
-		return fmt.Errorf("count %d out of range [0, 1024]", r.Count)
+		return nil, fmt.Errorf("count %d out of range [0, 1024]", r.Count)
 	}
 	if r.Count == 0 && r.Mode == ModeBatch {
 		r.Count = 4
 	}
 	if r.Count != 0 && r.Mode != ModeBatch {
-		return fmt.Errorf("count requires mode batch")
+		return nil, fmt.Errorf("count requires mode batch")
 	}
 	if r.TimeoutSec < 0 {
-		return fmt.Errorf("timeout_sec must be >= 0")
+		return nil, fmt.Errorf("timeout_sec must be >= 0")
 	}
-	return r.ValidateTenant()
+	if err := r.ValidateTenant(); err != nil {
+		return nil, err
+	}
+	return upload, nil
 }
 
 // ValidateTenant checks the tenant name and priority class, and defaults
@@ -225,24 +235,27 @@ func (r JobRequest) Fingerprint() engine.Key {
 		Int(r.Count, counters).Sum()
 }
 
-// DecodeJobRequest parses and validates a JSON job request body. Unknown
-// fields are rejected so client typos fail loudly instead of silently
-// running a default job. This is the fuzzed decoding surface of the server
-// (FuzzDecodeJobRequest).
-func DecodeJobRequest(data []byte) (JobRequest, error) {
+// DecodeJobRequest parses and validates a JSON job request body, and
+// returns the parse of its matrix_market upload (nil for a request on a
+// dataset entry) for the job to run on instead of parsing the string
+// again. Unknown fields are rejected so client typos fail loudly instead
+// of silently running a default job. This is the fuzzed decoding surface
+// of the server (FuzzDecodeJobRequest).
+func DecodeJobRequest(data []byte) (JobRequest, *matrix.COO, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var req JobRequest
 	if err := dec.Decode(&req); err != nil {
-		return JobRequest{}, fmt.Errorf("invalid job JSON: %w", err)
+		return JobRequest{}, nil, fmt.Errorf("invalid job JSON: %w", err)
 	}
 	if dec.More() {
-		return JobRequest{}, fmt.Errorf("invalid job JSON: trailing data after object")
+		return JobRequest{}, nil, fmt.Errorf("invalid job JSON: trailing data after object")
 	}
-	if err := req.Validate(); err != nil {
-		return JobRequest{}, err
+	upload, err := req.validate()
+	if err != nil {
+		return JobRequest{}, nil, err
 	}
-	return req, nil
+	return req, upload, nil
 }
 
 // JobResult is a finished job's payload. Host carries the offload

@@ -58,12 +58,12 @@ func TestDecodeJobRequestRefusesBadUploads(t *testing.T) {
 		"huge-size":       `{"mode":"static","matrix_market":"%%MatrixMarket matrix coordinate real general\n1099511627776 1099511627776 1\n1 1 1\n"}`,
 		"not-mm":          `{"mode":"static","matrix_market":"1 1 1\n"}`,
 	} {
-		if _, err := DecodeJobRequest([]byte(body)); err == nil {
+		if _, _, err := DecodeJobRequest([]byte(body)); err == nil {
 			t.Errorf("%s: accepted %s", name, body)
 		}
 	}
 	ok := `{"mode":"static","matrix_market":"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n"}`
-	if _, err := DecodeJobRequest([]byte(ok)); err != nil {
+	if _, _, err := DecodeJobRequest([]byte(ok)); err != nil {
 		t.Errorf("valid upload refused: %v", err)
 	}
 }

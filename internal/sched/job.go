@@ -7,16 +7,18 @@ import (
 	"sync"
 	"time"
 
+	"sparseadapt/internal/matrix"
 	"sparseadapt/internal/obs"
 )
 
 // Job is the scheduler-side record of one submitted simulation: the
-// request, the lifecycle state machine (including the retry attempt
-// counter), the cancellation handle of a running execution and the
-// append-only event log SSE subscribers replay. Jobs are created by the
-// Scheduler (Reserve, Restore) and driven by its worker pool; the exported
-// surface is what transports (HTTP server, cluster coordinator) need:
-// status snapshots, cancellation, and event emission/subscription.
+// request, the door's parse of its upload until an attempt takes it, the
+// lifecycle state machine (including the retry attempt counter), the
+// cancellation handle of a running execution and the append-only event
+// log SSE subscribers replay. Jobs are created by the Scheduler (Reserve,
+// Restore) and driven by its worker pool; the exported surface is what
+// transports (HTTP server, cluster coordinator) need: status snapshots,
+// cancellation, and event emission/subscription.
 type Job struct {
 	id        string
 	req       JobRequest
@@ -40,13 +42,16 @@ type Job struct {
 	cancel    context.CancelFunc // non-nil while running
 	canceled  bool               // cancel requested (possibly pre-start)
 	cancelCh  chan struct{}      // closed on cancel; wakes backoff sleeps
+	// upload is the door's parse of req.MatrixMarket, held until an
+	// attempt takes it or the job ends (TakeUpload).
+	upload *matrix.COO
 
 	events *EventLog
 }
 
-func newJob(id string, req JobRequest, requestID string, now time.Time) *Job {
+func newJob(id string, req JobRequest, upload *matrix.COO, requestID string, now time.Time) *Job {
 	j := &Job{id: id, req: req, requestID: requestID, created: now, echo: req,
-		state: StateQueued, cancelCh: make(chan struct{}),
+		upload: upload, state: StateQueued, cancelCh: make(chan struct{}),
 		events: newEventLog(requestID)}
 	if req.MatrixMarket != "" {
 		sum := sha256.Sum256([]byte(req.MatrixMarket))
@@ -66,6 +71,18 @@ func (j *Job) RequestID() string { return j.requestID }
 
 // Request returns the validated job request, upload included.
 func (j *Job) Request() JobRequest { return j.req }
+
+// TakeUpload hands the door's parse of the job's matrix_market upload to
+// the attempt that runs it, once. A later attempt, a job restored from the
+// journal, a job on a dataset entry and a job that has ended get nil; an
+// attempt that gets nil parses req.MatrixMarket itself.
+func (j *Job) TakeUpload() *matrix.COO {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	m := j.upload
+	j.upload = nil
+	return m
+}
 
 // Events returns the job's append-only event log for SSE subscribers.
 func (j *Job) Events() *EventLog { return j.events }
@@ -125,6 +142,7 @@ func (j *Job) finish(res *JobResult, cacheHit bool, err error, quarantine bool, 
 	defer j.mu.Unlock()
 	j.finished = now
 	j.cancel = nil
+	j.upload = nil
 	switch {
 	case err == nil:
 		j.state = StateDone
@@ -175,6 +193,7 @@ func (j *Job) RequestCancel() bool {
 		return true
 	}
 	// Still queued: finalize immediately, the worker will skip it.
+	j.upload = nil
 	j.state = StateCanceled
 	j.finished = time.Now()
 	j.errMsg = "canceled before start"

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sparseadapt/internal/matrix"
 	"sparseadapt/internal/obs"
 )
 
@@ -211,7 +212,9 @@ func (s *Scheduler) Config() Config { return s.cfg }
 // two is Commit (enqueue for execution) or Withdraw (acceptance failed —
 // the client must be told the submission did not take). Counting reserved
 // slots against the queue bound means Commit can never overflow the queue.
-func (s *Scheduler) Reserve(req JobRequest, requestID string, now time.Time) (*Job, error) {
+// upload is the door's parse of req.MatrixMarket, or nil; the job holds it
+// for the attempt that takes it (Job.TakeUpload).
+func (s *Scheduler) Reserve(req JobRequest, upload *matrix.COO, requestID string, now time.Time) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -221,7 +224,7 @@ func (s *Scheduler) Reserve(req JobRequest, requestID string, now time.Time) (*J
 		return nil, ErrQueueFull
 	}
 	s.nextID++
-	j := newJob(fmt.Sprintf("job-%06d", s.nextID), req, requestID, now)
+	j := newJob(fmt.Sprintf("job-%06d", s.nextID), req, upload, requestID, now)
 	s.reserved++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -279,7 +282,7 @@ func (s *Scheduler) Restore(id string, req JobRequest, requestID string, created
 	if n, ok := parseJobID(id); ok && n > s.nextID {
 		s.nextID = n
 	}
-	j := newJob(id, req, requestID, created)
+	j := newJob(id, req, nil, requestID, created)
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	return j

@@ -3,9 +3,11 @@ package server
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"sparseadapt/internal/matrix"
 	"sparseadapt/internal/sched"
 )
 
@@ -111,9 +113,17 @@ func FuzzDecodeJobRequest(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"mode":"adaptive"}{"x":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := sched.DecodeJobRequest(data)
+		req, upload, err := sched.DecodeJobRequest(data)
 		if err != nil {
 			return
+		}
+		// The parse handed to the job is the one the job would make.
+		if req.MatrixMarket == "" {
+			if upload != nil {
+				t.Fatal("request on a dataset entry carries a parse")
+			}
+		} else if want, err := matrix.ParseMatrixMarket(req.MatrixMarket); err != nil || !sameCOO(upload, want) {
+			t.Fatalf("carried parse differs from parsing the upload (%v)", err)
 		}
 		if err := req.Validate(); err != nil {
 			t.Fatalf("accepted request fails re-validation: %v", err)
@@ -122,7 +132,7 @@ func FuzzDecodeJobRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted request does not marshal: %v", err)
 		}
-		again, err := sched.DecodeJobRequest(b)
+		again, _, err := sched.DecodeJobRequest(b)
 		if err != nil {
 			t.Fatalf("round-tripped request rejected: %v\n%s", err, b)
 		}
@@ -130,4 +140,13 @@ func FuzzDecodeJobRequest(f *testing.F) {
 			t.Fatalf("round trip changed the request:\n got %+v\nwant %+v", again, req)
 		}
 	})
+}
+
+// sameCOO reports whether two COO matrices hold the same entries in the
+// same order, values compared by their bits.
+func sameCOO(a, b *matrix.COO) bool {
+	bits := func(v float64) uint64 { return math.Float64bits(v) }
+	return a != nil && b != nil && a.Rows == b.Rows && a.Cols == b.Cols &&
+		slices.Equal(a.R, b.R) && slices.Equal(a.C, b.C) &&
+		slices.EqualFunc(a.V, b.V, func(x, y float64) bool { return bits(x) == bits(y) })
 }

@@ -148,9 +148,13 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (sched.J
 	// bounded per batch and cached in the same store.
 	sc.Eng = s.eng
 
-	am, err := inputMatrix(req, sc)
-	if err != nil {
-		return sched.JobResult{}, err
+	// The first attempt runs on the door's parse of an upload; a retry or
+	// a job restored from the journal parses the string again.
+	am := j.TakeUpload()
+	if am == nil {
+		if am, err = inputMatrix(req, sc); err != nil {
+			return sched.JobResult{}, err
+		}
 	}
 	off, err := host.NewOffload(req.Kernel, am, sc.Seed, sc.Chip)
 	if err != nil {
