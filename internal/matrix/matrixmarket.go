@@ -84,6 +84,10 @@ func ParseMatrixMarket(s string) (*COO, error) {
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
 		}
+		var ok bool
+		if rows, cols, nnz, ok = plainSize(line); ok {
+			break
+		}
 		if _, err := fmt.Sscan(line, &rows, &cols, &nnz); err != nil {
 			return nil, fmt.Errorf("matrix: bad size line %q: %w", line, err)
 		}
@@ -153,6 +157,33 @@ func ParseMatrixMarket(s string) (*COO, error) {
 		return nil, fmt.Errorf("matrix: expected %d entries, got %d", nnz, read)
 	}
 	return out, nil
+}
+
+// plainSize reads a size line whose first three fields are plain decimal
+// (ASCII digits only, no sign, no leading zero but "0", at most 18 digits)
+// with the entry splitter and strconv.Atoi, as fmt.Sscan reads them. Any
+// other size line goes to fmt.Sscan, which accepts signs, base prefixes
+// and underscores; keeping fmt, and the sync.Pool behind its scan state,
+// off the common path keeps a parse's allocations the same from call to
+// call.
+func plainSize(line string) (rows, cols, nnz int, ok bool) {
+	f, n := entryFields(line)
+	if n < 3 {
+		return 0, 0, 0, false
+	}
+	var v [3]int
+	for i, s := range f {
+		if len(s) > 18 || (s[0] == '0' && len(s) > 1) {
+			return 0, 0, 0, false
+		}
+		for k := 0; k < len(s); k++ {
+			if s[k] < '0' || s[k] > '9' {
+				return 0, 0, 0, false
+			}
+		}
+		v[i], _ = strconv.Atoi(s) // plain decimal of at most 18 digits: cannot fail
+	}
+	return v[0], v[1], v[2], true
 }
 
 // lineScanner walks a body line by line without copying it.

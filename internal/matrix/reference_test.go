@@ -582,6 +582,15 @@ func TestParseMatchesReference(t *testing.T) {
 		hdr + "3 3 1 junk\n1 1 1\n",
 		hdr + "3,3,1\n1 1 1\n",
 		hdr + "99999999999999999999 1 1\n",
+		// Around the plain-decimal size line fmt.Sscan is skipped for:
+		// zero, leading zeros, 18 and 19 digits, a suffix on a field.
+		hdr + "0 3 1\n",
+		hdr + "00 3 1\n1 1 1\n",
+		hdr + "3 03 1\n1 1 1\n",
+		hdr + "999999999999999999 1 1\n",
+		hdr + "1000000000000000000 1 1\n",
+		hdr + "3 3 1x\n1 1 1\n",
+		hdr + "3\t3\v1 +1\n1 1 1\n",
 		hdr + "3 3 -1\n",
 		hdr + "3 3 0\nx y z\n",
 		hdr + "3 3 1\n1 1 nan\n",

@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"strconv"
 	"sync"
 	"time"
 
@@ -19,18 +22,21 @@ import (
 // Restore) and driven by its worker pool; the exported surface is what
 // transports (HTTP server, cluster coordinator) need: status snapshots,
 // cancellation, and event emission/subscription.
+//
+// A job that has ended keeps only what its status and event stream show:
+// end drops the upload (string and parse) and the result's epoch trace,
+// and seals the event log into its encoded SSE frames.
 type Job struct {
 	id        string
-	req       JobRequest
 	requestID string
 	created   time.Time
-	// echo is req without its upload, which uploadBytes and uploadSHA256
-	// stand for in every status.
-	echo         JobRequest
+	// uploadBytes and uploadSHA256 stand for the request's matrix_market
+	// upload in every status.
 	uploadBytes  int
 	uploadSHA256 string
 
 	mu        sync.Mutex
+	req       JobRequest // its MatrixMarket is dropped when the job ends
 	state     string
 	started   time.Time
 	finished  time.Time
@@ -49,13 +55,14 @@ type Job struct {
 	events *EventLog
 }
 
-func newJob(id string, req JobRequest, upload *matrix.COO, requestID string, now time.Time) *Job {
-	j := &Job{id: id, req: req, requestID: requestID, created: now, echo: req,
+// newJob builds a queued job. retained, which may be nil, is the gauge its
+// event log adds its sealed bytes to.
+func newJob(id string, req JobRequest, upload *matrix.COO, requestID string, now time.Time, retained *obs.Gauge) *Job {
+	j := &Job{id: id, req: req, requestID: requestID, created: now,
 		upload: upload, state: StateQueued, cancelCh: make(chan struct{}),
-		events: newEventLog(requestID)}
+		events: newEventLog(requestID, retained)}
 	if req.MatrixMarket != "" {
 		sum := sha256.Sum256([]byte(req.MatrixMarket))
-		j.echo.MatrixMarket = ""
 		j.uploadBytes = len(req.MatrixMarket)
 		j.uploadSHA256 = hex.EncodeToString(sum[:])
 	}
@@ -69,8 +76,14 @@ func (j *Job) ID() string { return j.id }
 // RequestID returns the submission's trace identifier (X-Request-ID).
 func (j *Job) RequestID() string { return j.requestID }
 
-// Request returns the validated job request, upload included.
-func (j *Job) Request() JobRequest { return j.req }
+// Request returns the validated job request. Until the job ends it
+// includes the matrix_market upload, which the journal, the fingerprint
+// and a coordinator's forwarding read; an ended job's request has none.
+func (j *Job) Request() JobRequest {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.req
+}
 
 // TakeUpload hands the door's parse of the job's matrix_market upload to
 // the attempt that runs it, once. A later attempt, a job restored from the
@@ -95,8 +108,10 @@ func (j *Job) Status() JobStatus {
 }
 
 func (j *Job) statusLocked() JobStatus {
+	req := j.req
+	req.MatrixMarket = ""
 	return JobStatus{
-		ID: j.id, State: j.state, Request: j.echo,
+		ID: j.id, State: j.state, Request: req,
 		UploadBytes: j.uploadBytes, UploadSHA256: j.uploadSHA256,
 		CreatedAt: j.created, StartedAt: j.started, FinishedAt: j.finished,
 		RequestID: j.requestID, Error: j.errMsg, Result: j.result,
@@ -134,37 +149,53 @@ func (j *Job) retry(attempt int, err error) {
 	j.events.append(Event{Type: "retry", Attempt: attempt, Error: err.Error()})
 }
 
-// finish records the terminal state, emits the final event and closes the
-// event stream. A canceled job that raced to completion stays canceled;
-// quarantine marks a job whose retry budget is exhausted.
+// finish records the outcome of the job's last attempt. A canceled job
+// that raced to completion stays canceled; quarantine marks a job whose
+// retry budget is exhausted.
 func (j *Job) finish(res *JobResult, cacheHit bool, err error, quarantine bool, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.finished = now
+	if err == nil {
+		j.end(StateDone, now, "", cacheHit, res)
+		return
+	}
+	state := StateFailed
+	switch {
+	case j.canceled:
+		state = StateCanceled
+	case quarantine:
+		state = StateQuarantined
+	}
+	j.end(state, now, err.Error(), false, nil)
+}
+
+// end moves the job to its terminal state, with j.mu held. It is the one
+// place a job ends: the worker finishing it, a cancel while queued, and a
+// journal restore. It drops what only a live job needs, the upload (string
+// and parse) and the result's epoch trace, which the event stream carries
+// and the engine cache entry keeps for replay; then it appends the
+// terminal event and seals the event log.
+func (j *Job) end(state string, finished time.Time, errMsg string, cacheHit bool, res *JobResult) {
+	j.state = state
+	j.finished = finished
+	j.errMsg = errMsg
+	j.cacheHit = cacheHit
 	j.cancel = nil
 	j.upload = nil
-	switch {
-	case err == nil:
-		j.state = StateDone
-		j.result = res
-		j.cacheHit = cacheHit
-	case j.canceled:
-		j.state = StateCanceled
-		j.errMsg = err.Error()
-	case quarantine:
-		j.state = StateQuarantined
-		j.errMsg = err.Error()
-	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
+	j.req.MatrixMarket = ""
+	if res != nil && res.Trace != nil {
+		r := *res
+		r.Trace = nil
+		res = &r
 	}
+	j.result = res
 	st := j.statusLocked()
 	typ := "result"
-	if st.State != StateDone {
+	if state != StateDone {
 		typ = "error"
 	}
 	j.events.append(Event{Type: typ, Status: &st})
-	j.events.close()
+	j.events.seal()
 }
 
 // RequestCancel marks the job canceled and cancels a running execution.
@@ -193,13 +224,7 @@ func (j *Job) RequestCancel() bool {
 		return true
 	}
 	// Still queued: finalize immediately, the worker will skip it.
-	j.upload = nil
-	j.state = StateCanceled
-	j.finished = time.Now()
-	j.errMsg = "canceled before start"
-	st := j.statusLocked()
-	j.events.append(Event{Type: "error", Status: &st})
-	j.events.close()
+	j.end(StateCanceled, time.Now(), "canceled before start", false, nil)
 	return true
 }
 
@@ -245,21 +270,32 @@ func (j *Job) SetRecovered(attempts int) {
 // subscribers replay from any index and then block on the wake channel,
 // which is closed and replaced on every append, so late subscribers see
 // the full stream and live subscribers wake immediately.
+//
+// When the job ends the log is sealed: each event is encoded once into
+// the frame the events endpoint sends, the frames are kept back to back
+// in one byte slice, and the events themselves are released, so a
+// finished job holds its stream as bytes rather than as an object graph.
 type EventLog struct {
 	mu        sync.Mutex
 	requestID string
-	events    []Event
+	events    []Event // nil once sealed
+	epochs    int     // epoch events appended
 	done      bool
 	wake      chan struct{}
+	// frames holds a sealed log's SSE frames; frame i is
+	// frames[offs[i]:offs[i+1]], empty for an event json.Marshal rejects.
+	frames []byte
+	offs   []int32
+	// retained receives the sealed bytes (server_retained_bytes).
+	retained *obs.Gauge
 }
 
-func newEventLog(requestID string) *EventLog {
-	return &EventLog{requestID: requestID, wake: make(chan struct{})}
+func newEventLog(requestID string, retained *obs.Gauge) *EventLog {
+	return &EventLog{requestID: requestID, wake: make(chan struct{}), retained: retained}
 }
 
 // append assigns the event's sequence number, stamps the job's request ID
-// and wakes subscribers. Appending after close is dropped (the stream is
-// sealed).
+// and wakes subscribers. Appending after the stream is closed is dropped.
 func (l *EventLog) append(ev Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -271,34 +307,118 @@ func (l *EventLog) append(ev Event) {
 		ev.RequestID = l.requestID
 	}
 	l.events = append(l.events, ev)
+	if ev.Type == "epoch" {
+		l.epochs++
+	}
 	close(l.wake)
 	l.wake = make(chan struct{})
 }
 
-// close seals the stream and wakes subscribers one last time. The wake
-// channel is left closed (not replaced) so any subscriber that has drained
-// the log wakes immediately, observes done, and exits instead of blocking
-// on a channel that will never fire again.
-func (l *EventLog) close() {
+// seal closes the stream, wakes subscribers one last time, and replaces
+// the events with their encoded frames. The wake channel is left closed
+// (not replaced) so any subscriber that has drained the log wakes
+// immediately, observes the end, and exits instead of blocking on a
+// channel that will never fire again. The encoding runs outside the lock;
+// meanwhile Frames encodes for itself, as for a live log.
+func (l *EventLog) seal() {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.done {
+		l.mu.Unlock()
 		return
 	}
 	l.done = true
 	close(l.wake)
+	evs := l.events
+	l.mu.Unlock()
+
+	buf := framePool.Get().(*bytes.Buffer)
+	defer framePool.Put(buf)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	offs := make([]int32, 1, len(evs)+1)
+	for i := range evs {
+		appendFrame(buf, enc, &evs[i])
+		offs = append(offs, int32(buf.Len()))
+	}
+	frames := bytes.Clone(buf.Bytes())
+
+	l.mu.Lock()
+	l.frames, l.offs, l.events = frames, offs, nil
+	l.mu.Unlock()
+	l.retained.Add(float64(len(frames) + 4*len(offs)))
 }
 
-// Since returns the events from index from onward, whether the stream is
-// sealed, and the channel that will be closed on the next append/close.
-func (l *EventLog) Since(from int) ([]Event, bool, <-chan struct{}) {
+// framePool recycles seal's encoding buffer.
+var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// appendFrame appends ev's SSE frame, "event: <type>\nid: <seq>\ndata:
+// <json>\n\n", to buf. An event json.Marshal rejects appends nothing and
+// reports false.
+func appendFrame(buf *bytes.Buffer, enc *json.Encoder, ev *Event) bool {
+	mark := buf.Len()
+	buf.WriteString("event: ")
+	buf.WriteString(ev.Type)
+	buf.WriteString("\nid: ")
+	buf.WriteString(strconv.Itoa(ev.Seq))
+	buf.WriteString("\ndata: ")
+	// Encode writes json.Marshal's bytes and a newline, or nothing.
+	if err := enc.Encode(ev); err != nil {
+		buf.Truncate(mark)
+		return false
+	}
+	buf.WriteByte('\n')
+	return true
+}
+
+// sealedBytes is what a sealed log holds: its frames and their offsets (0
+// while the log is live).
+func (l *EventLog) sealedBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return int64(len(l.frames) + 4*len(l.offs))
+}
+
+// Frames returns the SSE frames of the events from index from (≥ 0) on,
+// as the events endpoint writes them, and the index after the last event
+// they hold. A sealed log returns a slice of its stream, which the caller
+// must not modify; a live one encodes its tail. The frames stop before an
+// event json.Marshal rejects. end reports that the reader is done: the
+// stream is closed and holds nothing past next, or the event at next
+// cannot be encoded. Otherwise wake is closed at the next append.
+func (l *EventLog) Frames(from int) (frames []byte, next int, end bool, wake <-chan struct{}) {
+	l.mu.Lock()
+	if l.offs != nil {
+		defer l.mu.Unlock()
+		next = from
+		for next < len(l.offs)-1 && l.offs[next] != l.offs[next+1] {
+			next++
+		}
+		if next > from {
+			frames = l.frames[l.offs[from]:l.offs[next]]
+		}
+		return frames, next, true, l.wake
+	}
 	var evs []Event
 	if from < len(l.events) {
-		evs = append(evs, l.events[from:]...)
+		evs = l.events[from:]
 	}
-	return evs, l.done, l.wake
+	done, wake := l.done, l.wake
+	l.mu.Unlock()
+
+	// Appends only write past evs, so they are read safely unlocked.
+	next = from
+	if len(evs) > 0 {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		for i := range evs {
+			if !appendFrame(&buf, enc, &evs[i]) {
+				return buf.Bytes(), next, true, wake
+			}
+			next++
+		}
+		frames = buf.Bytes()
+	}
+	return frames, next, done, wake
 }
 
 // EpochEvents counts the epoch events recorded so far — executors use it
@@ -307,11 +427,5 @@ func (l *EventLog) Since(from int) ([]Event, bool, <-chan struct{}) {
 func (l *EventLog) EpochEvents() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := 0
-	for _, ev := range l.events {
-		if ev.Type == "epoch" {
-			n++
-		}
-	}
-	return n
+	return l.epochs
 }

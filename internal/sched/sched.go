@@ -136,6 +136,7 @@ type metrics struct {
 	quarantined, retries, recovered        *obs.Counter
 	breakerTrips                           *obs.Counter
 	queueDepth, inflight, brkOpen          *obs.Gauge
+	retained                               *obs.Gauge
 	jobDuration, queueWait                 *obs.Histogram
 }
 
@@ -156,6 +157,7 @@ func newMetrics(r *obs.Registry) metrics {
 		queueDepth:   r.Gauge("server_queue_depth", "jobs waiting in the admission queue"),
 		inflight:     r.Gauge("server_jobs_inflight", "jobs currently executing"),
 		brkOpen:      r.Gauge("server_breaker_open", "1 while the circuit breaker is shedding submissions"),
+		retained:     r.Gauge("server_retained_bytes", "bytes of sealed event streams held by retained finished jobs"),
 		jobDuration:  r.Histogram("server_job_duration_seconds", "job execution wall time", LatencyBuckets),
 		queueWait:    r.Histogram("server_job_queue_wait_seconds", "time jobs spend queued before execution", LatencyBuckets),
 	}
@@ -224,7 +226,7 @@ func (s *Scheduler) Reserve(req JobRequest, upload *matrix.COO, requestID string
 		return nil, ErrQueueFull
 	}
 	s.nextID++
-	j := newJob(fmt.Sprintf("job-%06d", s.nextID), req, upload, requestID, now)
+	j := newJob(fmt.Sprintf("job-%06d", s.nextID), req, upload, requestID, now, s.met.retained)
 	s.reserved++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -263,12 +265,21 @@ func (s *Scheduler) Withdraw(j *Job) {
 }
 
 func (s *Scheduler) forgetLocked(id string) {
-	delete(s.jobs, id)
+	s.dropLocked(id)
 	for i, oid := range s.order {
 		if oid == id {
 			s.order = append(s.order[:i], s.order[i+1:]...)
 			return
 		}
+	}
+}
+
+// dropLocked removes a job from the map and its sealed stream from the
+// retained-bytes gauge.
+func (s *Scheduler) dropLocked(id string) {
+	if j, ok := s.jobs[id]; ok {
+		s.met.retained.Add(-float64(j.events.sealedBytes()))
+		delete(s.jobs, id)
 	}
 }
 
@@ -282,7 +293,7 @@ func (s *Scheduler) Restore(id string, req JobRequest, requestID string, created
 	if n, ok := parseJobID(id); ok && n > s.nextID {
 		s.nextID = n
 	}
-	j := newJob(id, req, nil, requestID, created)
+	j := newJob(id, req, nil, requestID, created, s.met.retained)
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	return j
@@ -294,18 +305,7 @@ func (s *Scheduler) Restore(id string, req JobRequest, requestID string, created
 func (s *Scheduler) RestoreTerminal(j *Job, state string, finished time.Time, errMsg string, cacheHit bool, result *JobResult) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = state
-	j.finished = finished
-	j.errMsg = errMsg
-	j.cacheHit = cacheHit
-	j.result = result
-	st := j.statusLocked()
-	typ := "result"
-	if st.State != StateDone {
-		typ = "error"
-	}
-	j.events.append(Event{Type: typ, Status: &st})
-	j.events.close()
+	j.end(state, finished, errMsg, cacheHit, result)
 }
 
 // Requeue puts a restored non-terminal job back on the execution queue.
@@ -374,7 +374,7 @@ func (s *Scheduler) evictLocked() {
 		evicted := false
 		for i, id := range s.order {
 			if j, ok := s.jobs[id]; ok && j.Status().Terminal() {
-				delete(s.jobs, id)
+				s.dropLocked(id)
 				s.order = append(s.order[:i], s.order[i+1:]...)
 				if s.hooks.Evicted != nil {
 					s.hooks.Evicted(id)

@@ -575,30 +575,25 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 
 	idx := 0
-	// Honor Last-Event-ID resumption.
+	// Honor Last-Event-ID resumption: replay from the event after it. The
+	// sum saturates, so an ID at or past the log's end replays nothing.
 	if last := r.Header.Get("Last-Event-ID"); last != "" {
 		if n, err := strconv.Atoi(last); err == nil && n >= 0 {
-			idx = n + 1
+			idx = min(n, math.MaxInt-1) + 1
 		}
 	}
 	for {
-		evs, done, wake := j.Events().Since(idx)
-		for _, ev := range evs {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", ev.Type, ev.Seq, data); err != nil {
+		frames, next, end, wake := j.Events().Frames(idx)
+		if len(frames) > 0 {
+			if _, err := w.Write(frames); err != nil {
 				return // client disconnected
 			}
-		}
-		if len(evs) > 0 {
 			fl.Flush()
 		}
-		idx += len(evs)
-		if done && len(evs) == 0 {
+		if end {
 			return
 		}
+		idx = next
 		select {
 		case <-wake:
 		case <-keepalive:
