@@ -53,6 +53,66 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestCompressedValidateErrors pins the exact error of every malformed
+// CSR and CSC matrix class, checked in Validate's order.
+func TestCompressedValidateErrors(t *testing.T) {
+	type arrays struct {
+		rows, cols int
+		ptr, idx   []int
+		val        []float64
+	}
+	cases := []struct {
+		name     string
+		a        arrays
+		csr, csc string // "" = valid
+	}{
+		{"valid", arrays{2, 2, []int{0, 1, 2}, []int{1, 0}, []float64{1, 2}}, "", ""},
+		{"empty", arrays{0, 0, []int{0}, nil, nil}, "", ""},
+		{"negative shape", arrays{-1, 2, []int{0}, nil, nil},
+			"matrix: CSR negative shape -1x2", "matrix: CSC negative shape -1x2"},
+		{"short pointers", arrays{2, 2, []int{0, 2}, []int{0, 1}, []float64{1, 2}},
+			"matrix: CSR RowPtr length 2, want 3", "matrix: CSC ColPtr length 2, want 3"},
+		{"index/value lengths", arrays{2, 2, []int{0, 1, 2}, []int{0, 1}, []float64{1}},
+			"matrix: CSR index/value lengths disagree", "matrix: CSC index/value lengths disagree"},
+		{"first pointer", arrays{2, 2, []int{1, 1, 2}, []int{0, 1}, []float64{1, 2}},
+			"matrix: CSR RowPtr endpoints 1..2, want 0..2", "matrix: CSC ColPtr endpoints 1..2, want 0..2"},
+		{"last pointer", arrays{2, 2, []int{0, 1, 1}, []int{0, 1}, []float64{1, 2}},
+			"matrix: CSR RowPtr endpoints 0..1, want 0..2", "matrix: CSC ColPtr endpoints 0..1, want 0..2"},
+		{"decreasing pointer", arrays{3, 3, []int{0, 2, 1, 2}, []int{0, 1}, []float64{1, 2}},
+			"matrix: CSR RowPtr decreases at row 1", "matrix: CSC ColPtr decreases at column 1"},
+		{"index too large", arrays{2, 2, []int{0, 1, 2}, []int{0, 2}, []float64{1, 2}},
+			"matrix: CSR column 2 out of bounds in row 1", "matrix: CSC row 2 out of bounds in column 1"},
+		{"negative index", arrays{2, 2, []int{0, 1, 2}, []int{-1, 0}, []float64{1, 2}},
+			"matrix: CSR column -1 out of bounds in row 0", "matrix: CSC row -1 out of bounds in column 0"},
+		{"repeated index", arrays{2, 2, []int{0, 0, 2}, []int{1, 1}, []float64{1, 2}},
+			"matrix: CSR row 1 columns not strictly increasing", "matrix: CSC column 1 rows not strictly increasing"},
+		{"descending index", arrays{2, 2, []int{0, 2, 2}, []int{1, 0}, []float64{1, 2}},
+			"matrix: CSR row 0 columns not strictly increasing", "matrix: CSC column 0 rows not strictly increasing"},
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for _, c := range cases {
+		a := c.a
+		// The pointer array runs over rows in CSR and over columns in CSC,
+		// so the CSC case swaps the shape to keep the same arrays valid.
+		csr := &CSR{Rows: a.rows, Cols: a.cols, RowPtr: a.ptr, ColIdx: a.idx, Val: a.val}
+		if got := errText(csr.Validate()); got != c.csr {
+			t.Errorf("%s: CSR Validate = %q, want %q", c.name, got, c.csr)
+		}
+		csc := &CSC{Rows: a.cols, Cols: a.rows, ColPtr: a.ptr, RowIdx: a.idx, Val: a.val}
+		if a.rows < 0 {
+			csc.Rows, csc.Cols = a.rows, a.cols
+		}
+		if got := errText(csc.Validate()); got != c.csc {
+			t.Errorf("%s: CSC Validate = %q, want %q", c.name, got, c.csc)
+		}
+	}
+}
+
 func randomCOO(rng *rand.Rand, maxDim, maxNNZ int) *COO {
 	n := 1 + rng.Intn(maxDim)
 	m := 1 + rng.Intn(maxDim)
