@@ -279,7 +279,6 @@ type EventLog struct {
 	mu        sync.Mutex
 	requestID string
 	events    []Event // nil once sealed
-	epochs    int     // epoch events appended
 	done      bool
 	wake      chan struct{}
 	// frames holds a sealed log's SSE frames; frame i is
@@ -307,9 +306,6 @@ func (l *EventLog) append(ev Event) {
 		ev.RequestID = l.requestID
 	}
 	l.events = append(l.events, ev)
-	if ev.Type == "epoch" {
-		l.epochs++
-	}
 	close(l.wake)
 	l.wake = make(chan struct{})
 }
@@ -419,13 +415,4 @@ func (l *EventLog) Frames(from int) (frames []byte, next int, end bool, wake <-c
 		frames = buf.Bytes()
 	}
 	return frames, next, done, wake
-}
-
-// EpochEvents counts the epoch events recorded so far — executors use it
-// to decide whether a cache-served result still needs its trace replayed
-// into the stream.
-func (l *EventLog) EpochEvents() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.epochs
 }

@@ -57,10 +57,10 @@ func (s *Server) localExec(ctx context.Context, j *sched.Job, attempt int) (*sch
 	}
 	r := res[0]
 	hit := !computed
-	if hit && j.Events().EpochEvents() == 0 {
-		// Cache-served result: the live run streamed its epochs as they
-		// happened; replay the retained trace so subscribers of this job see
-		// the same stream.
+	if hit {
+		// Cache-served result: this attempt computed nothing and so streamed
+		// nothing; replay the retained trace so subscribers see the stream
+		// a computed attempt would have sent.
 		for _, rec := range r.Trace {
 			j.Emit(rec)
 		}
