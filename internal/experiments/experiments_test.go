@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"sparseadapt/internal/config"
 	"sparseadapt/internal/core"
+	"sparseadapt/internal/ml"
 	"sparseadapt/internal/power"
+	"sparseadapt/internal/trainer"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -86,7 +89,11 @@ func TestModelHistoryIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := trainModel(b, "spmspv", config.CacheMode, power.EnergyEfficient, 1)
+	ds, err := trainer.GenerateEngine(context.Background(), nil, modelSweep(b, "spmspv", config.CacheMode), power.EnergyEfficient, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := trainer.Train(ds, ml.DefaultTreeParams())
 	if err != nil {
 		t.Fatal(err)
 	}

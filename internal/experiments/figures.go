@@ -89,54 +89,12 @@ func Figure1(sc Scale) (*Report, error) {
 // Values are gains over Baseline; the pp-gflops columns correspond to the
 // left panel, pp-eff to the middle, ee-eff to the right.
 func Figure5(sc Scale) (*Report, error) {
-	rep := &Report{ID: "fig5", Title: "SpMSpV, synthetic dataset, gains over Baseline",
-		Columns: []string{
-			"pp-gflops-best", "pp-gflops-max", "pp-gflops-sa",
-			"pp-eff-best", "pp-eff-max", "pp-eff-sa",
-			"ee-eff-best", "ee-eff-max", "ee-eff-sa",
-		}}
-	ids := []string{"U1", "U2", "U3", "P1", "P2", "P3"}
-	cols := make([][]float64, len(rep.Columns))
-	for _, id := range ids {
-		w, err := buildSpMSpV(sc, id)
-		if err != nil {
-			return nil, err
-		}
-		std := runStandards(sc, w, config.CacheMode)
-		pp, err := runSparseAdapt(sc, w, "spmspv", config.CacheMode, power.PowerPerformance)
-		if err != nil {
-			return nil, err
-		}
-		ee, err := runSparseAdapt(sc, w, "spmspv", config.CacheMode, power.EnergyEfficient)
-		if err != nil {
-			return nil, err
-		}
-		vals := []float64{
-			ratio(std.best.GFLOPS(), std.base.GFLOPS()),
-			ratio(std.max.GFLOPS(), std.base.GFLOPS()),
-			ratio(pp.Total.GFLOPS(), std.base.GFLOPS()),
-			ratio(std.best.GFLOPSPerW(), std.base.GFLOPSPerW()),
-			ratio(std.max.GFLOPSPerW(), std.base.GFLOPSPerW()),
-			ratio(pp.Total.GFLOPSPerW(), std.base.GFLOPSPerW()),
-			ratio(std.best.GFLOPSPerW(), std.base.GFLOPSPerW()),
-			ratio(std.max.GFLOPSPerW(), std.base.GFLOPSPerW()),
-			ratio(ee.Total.GFLOPSPerW(), std.base.GFLOPSPerW()),
-		}
-		rep.Add(id, vals...)
-		for c, v := range vals {
-			cols[c] = append(cols[c], v)
-		}
-	}
-	gm := make([]float64, len(cols))
-	for c := range cols {
-		gm[c] = geomean(cols[c])
-	}
-	rep.Add("GM", gm...)
-	return rep, nil
+	return realWorldCompare(sc, "fig5", []string{"U1", "U2", "U3", "P1", "P2", "P3"},
+		"spmspv", "SpMSpV, synthetic dataset, gains over Baseline", buildSpMSpV)
 }
 
 // realWorldCompare runs one kernel over a matrix list with the standard
-// comparison set in both modes (the Figure 6 layout).
+// comparison set in both modes (the Figure 5 and 6 layout).
 func realWorldCompare(sc Scale, id string, ids []string, kernel string, title string,
 	build func(Scale, string) (kernels.Workload, error)) (*Report, error) {
 	rep := &Report{ID: id, Title: title,
@@ -145,7 +103,6 @@ func realWorldCompare(sc Scale, id string, ids []string, kernel string, title st
 			"pp-eff-best", "pp-eff-max", "pp-eff-sa",
 			"ee-eff-best", "ee-eff-max", "ee-eff-sa",
 		}}
-	cols := make([][]float64, len(rep.Columns))
 	for _, mid := range ids {
 		w, err := build(sc, mid)
 		if err != nil {
@@ -172,15 +129,8 @@ func realWorldCompare(sc Scale, id string, ids []string, kernel string, title st
 			ratio(ee.Total.GFLOPSPerW(), std.base.GFLOPSPerW()),
 		}
 		rep.Add(mid, vals...)
-		for c, v := range vals {
-			cols[c] = append(cols[c], v)
-		}
 	}
-	gm := make([]float64, len(cols))
-	for c := range cols {
-		gm[c] = geomean(cols[c])
-	}
-	rep.Add("GM", gm...)
+	addGM(rep)
 	return rep, nil
 }
 
@@ -200,7 +150,6 @@ func Figure7(sc Scale) (*Report, error) {
 			"spm-gflops-best", "spm-gflops-max", "spm-gflops-sa", "spm-eff-sa",
 		}}
 	ids := []string{"R09", "R10", "R11", "R12", "R13", "R14", "R15", "R16"}
-	cols := make([][]float64, len(rep.Columns))
 	for _, mid := range ids {
 		w, err := buildSpMSpV(sc, mid)
 		if err != nil {
@@ -225,15 +174,8 @@ func Figure7(sc Scale) (*Report, error) {
 			)
 		}
 		rep.Add(mid, vals...)
-		for c, v := range vals {
-			cols[c] = append(cols[c], v)
-		}
 	}
-	gm := make([]float64, len(cols))
-	for c := range cols {
-		gm[c] = geomean(cols[c])
-	}
-	rep.Add("GM", gm...)
+	addGM(rep)
 	return rep, nil
 }
 

@@ -32,10 +32,7 @@ func Figure9(sc Scale) (*Report, error) {
 
 	// Regenerate the training dataset once so trees can be re-fit per depth,
 	// all from one presorted matrix.
-	sw := trainer.DefaultSweep("spmspv", config.CacheMode, sc.Train)
-	sw.Chip = sc.Chip
-	sw.Seed = sc.Seed
-	ds, err := trainer.GenerateEngine(context.Background(), sc.Eng, sw, power.PowerPerformance, 1)
+	ds, err := trainer.GenerateEngine(context.Background(), sc.Eng, modelSweep(sc, "spmspv", config.CacheMode), power.PowerPerformance, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -24,10 +24,7 @@ func ModelChoice(sc Scale) (*Report, error) {
 	rep := &Report{ID: "models", Title: "Per-parameter 3-fold CV accuracy by model family",
 		Columns: []string{"tree", "forest", "linear", "logistic", "majority"}}
 
-	sw := trainer.DefaultSweep("spmspv", config.CacheMode, sc.Train)
-	sw.Chip = sc.Chip
-	sw.Seed = sc.Seed
-	ds, err := trainer.GenerateEngine(context.Background(), sc.Eng, sw, power.EnergyEfficient, 1)
+	ds, err := trainer.GenerateEngine(context.Background(), sc.Eng, modelSweep(sc, "spmspv", config.CacheMode), power.EnergyEfficient, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,6 @@ func Figure8(sc Scale) (*Report, error) {
 			"ee-eff-static", "ee-eff-greedy", "ee-eff-oracle", "ee-eff-sa",
 		}}
 	ids := []string{"R01", "R02", "R03", "R04", "R05", "R06", "R07", "R08"}
-	cols := make([][]float64, len(rep.Columns))
 	for _, mid := range ids {
 		w, err := buildSpMSpM(sc, mid)
 		if err != nil {
@@ -95,15 +94,8 @@ func Figure8(sc Scale) (*Report, error) {
 			ratio(saEE.Total.GFLOPSPerW(), base.GFLOPSPerW()),
 		}
 		rep.Add(mid, vals...)
-		for c, v := range vals {
-			cols[c] = append(cols[c], v)
-		}
 	}
-	gm := make([]float64, len(cols))
-	for c := range cols {
-		gm[c] = geomean(cols[c])
-	}
-	rep.Add("GM", gm...)
+	addGM(rep)
 	rep.Note("paper: SparseAdapt within 13%% of Oracle performance and 5%% efficiency")
 	return rep, nil
 }
@@ -120,7 +112,6 @@ func Section64(sc Scale) (*Report, error) {
 			"ee-eff-vs-naive", "ee-eff-vs-ideal",
 		}}
 	ids := []string{"R09", "R10", "R11", "R12", "R13", "R14", "R15", "R16"}
-	cols := make([][]float64, len(rep.Columns))
 	for _, mid := range ids {
 		w, err := buildSpMSpV(sc, mid)
 		if err != nil {
@@ -155,15 +146,8 @@ func Section64(sc Scale) (*Report, error) {
 			ratio(saEE.Total.GFLOPSPerW(), idealEE.GFLOPSPerW()),
 		}
 		rep.Add(mid, vals...)
-		for c, v := range vals {
-			cols[c] = append(cols[c], v)
-		}
 	}
-	gm := make([]float64, len(cols))
-	for c := range cols {
-		gm[c] = geomean(cols[c])
-	}
-	rep.Add("GM", gm...)
+	addGM(rep)
 	rep.Note("paper: 2.8x GFLOPS / 2.0x GFLOPS/W over naive (PP), 2.9x GFLOPS/W (EE); 1.1-2.4x over ideal")
 	return rep, nil
 }

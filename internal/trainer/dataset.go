@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"sparseadapt/internal/config"
 	"sparseadapt/internal/core"
@@ -162,17 +163,23 @@ func sweepPins(sw SweepSpec) (map[config.Param]int, error) {
 // phase's best configuration and emits one example per configuration
 // evaluated during the search — the insight of Section 4.2 that yields K×
 // more training data than profiling-configuration approaches and teaches
-// the model to predict from *any* configuration.
+// the model to predict from *any* configuration. It runs serially; use
+// GenerateEngine to run the sweep points in parallel.
 func Generate(sw SweepSpec, mode power.Mode) (*Dataset, error) {
-	return GenerateH(sw, mode, 1)
+	return GenerateEngine(context.Background(), nil, sw, mode, 1)
 }
 
-// GenerateH builds a history-augmented dataset whose inputs carry the last
-// h telemetry frames (the Section 7 extension); h = 1 is the published
-// SparseAdapt feature layout. It runs serially; use GenerateEngine to run
-// the sweep points in parallel.
-func GenerateH(sw SweepSpec, mode power.Mode, h int) (*Dataset, error) {
-	return GenerateEngine(context.Background(), nil, sw, mode, h)
+// sweepHasher starts a key in domain over every input of a sweep but its
+// grid: the kernel, the algorithm pins, the L1 type, the mode, the
+// telemetry window h, the chip, the epoch scale, the warm-up and measured
+// epochs, K and the seed.
+func sweepHasher(domain string, sw SweepSpec, mode power.Mode, h int) *engine.Hasher {
+	return engine.NewHasher(domain).
+		Str(sw.Kernel).Str(sw.PinDataflow).Str(sw.PinFormat).
+		Int(sw.L1Type, int(mode), h).
+		Int(sw.Chip.Tiles, sw.Chip.GPEsPerTile).
+		F64(sw.EpochScale).Int(sw.Warmup, sw.Measure, sw.K).
+		I64(sw.Seed)
 }
 
 // sweepPoint is one independent unit of dataset generation: a (matrix
@@ -257,12 +264,7 @@ func GenerateEngine(ctx context.Context, eng *engine.Engine, sw SweepSpec, mode 
 		if err != nil {
 			return nil, err
 		}
-		key := engine.NewHasher("sparseadapt/trainer-point/v3").
-			Str(sw.Kernel).Str(sw.PinDataflow).Str(sw.PinFormat).
-			Int(sw.L1Type, int(mode), h).
-			Int(sw.Chip.Tiles, sw.Chip.GPEsPerTile).
-			F64(sw.EpochScale).Int(sw.Warmup, sw.Measure, sw.K).
-			I64(sw.Seed).
+		key := sweepHasher("sparseadapt/trainer-point/v3", sw, mode, h).
 			Int(sw.Dims[pt.di]).F64(sw.Densities[pt.fi]).F64(sw.BandwidthsGBps[pt.bi]).
 			U64(nat.Trace.Fingerprint()).Sum()
 		tasks[i] = engine.Task[[]Example]{Key: key, Compute: func(ctx context.Context) ([]Example, error) {
@@ -336,6 +338,55 @@ func Train(ds *Dataset, params ml.TreeParams) (*core.Ensemble, error) {
 		ens.Trees[p] = t
 	}
 	return ens, nil
+}
+
+// models memoizes Model's ensembles by modelKey for the life of the
+// process.
+var models = struct {
+	sync.Mutex
+	ens map[engine.Key]*core.Ensemble
+}{ens: map[engine.Key]*core.Ensemble{}}
+
+// Model returns the ensemble Train fits with params to the dataset
+// GenerateEngine builds from sw for mode on h-epoch telemetry, trained
+// once per process. Its key covers every input (eng only changes how fast
+// the sweep runs), so a model never depends on what the process trained
+// before it. The lock is held across training, so concurrent callers
+// wanting the same model wait for one training run instead of duplicating
+// it. Callers must not modify the returned ensemble.
+func Model(ctx context.Context, eng *engine.Engine, sw SweepSpec, mode power.Mode, h int, params ml.TreeParams) (*core.Ensemble, error) {
+	if h < 1 {
+		h = 1
+	}
+	key := modelKey(sw, mode, h, params)
+	models.Lock()
+	defer models.Unlock()
+	if ens, ok := models.ens[key]; ok {
+		return ens, nil
+	}
+	ds, err := GenerateEngine(ctx, eng, sw, mode, h)
+	if err != nil {
+		return nil, err
+	}
+	ens, err := Train(ds, params)
+	if err != nil {
+		return nil, err
+	}
+	models.ens[key] = ens
+	return ens, nil
+}
+
+// modelKey is Model's sparseadapt/model/v1 key: the sweep's non-grid
+// inputs, each grid slice with its length, and every tree parameter.
+func modelKey(sw SweepSpec, mode power.Mode, h int, params ml.TreeParams) engine.Key {
+	k := sweepHasher("sparseadapt/model/v1", sw, mode, h).Int(len(sw.Dims)).Int(sw.Dims...)
+	for _, grid := range [][]float64{sw.Densities, sw.BandwidthsGBps} {
+		k.Int(len(grid))
+		for _, v := range grid {
+			k.F64(v)
+		}
+	}
+	return k.Int(int(params.Criterion), params.MaxDepth, params.MinSamplesLeaf).Sum()
 }
 
 // TrainCV grid-searches tree hyperparameters with k-fold cross-validation

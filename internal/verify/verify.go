@@ -33,7 +33,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"sparseadapt/internal/config"
 	"sparseadapt/internal/core"
@@ -378,28 +377,15 @@ func (s Scenario) Source() (*kernels.Source, error) {
 	}
 }
 
-// corpusModels caches the deterministic tiny models the controller
-// scenarios run under, by objective and telemetry window.
-var corpusModels = struct {
-	mu  sync.Mutex
-	ens map[[2]int]*core.Ensemble
-}{ens: map[[2]int]*core.Ensemble{}}
-
 // Model returns the corpus controller model (trained once per process).
 func Model() (*core.Ensemble, error) { return corpusModel(power.EnergyEfficient, 1) }
 
 // corpusModel trains the corpus sweep for mode on h-epoch telemetry
-// windows, once per process. The sweep is fixed — independent of
-// experiment scales — so the decision sequences in golden files only move
-// when the trainer, ml, sim or power layers change behavior, which is the
-// point.
+// windows, once per process (trainer.Model). The sweep is fixed —
+// independent of experiment scales — so the decision sequences in golden
+// files only move when the trainer, ml, sim or power layers change
+// behavior, which is the point.
 func corpusModel(mode power.Mode, h int) (*core.Ensemble, error) {
-	corpusModels.mu.Lock()
-	defer corpusModels.mu.Unlock()
-	key := [2]int{int(mode), h}
-	if ens, ok := corpusModels.ens[key]; ok {
-		return ens, nil
-	}
 	sw := trainer.SweepSpec{
 		Kernel: "spmspv", L1Type: config.CacheMode,
 		Dims: []int{32, 64}, Densities: []float64{0.02, 0.08},
@@ -407,15 +393,10 @@ func corpusModel(mode power.Mode, h int) (*core.Ensemble, error) {
 		K:              4, Seed: 9, Chip: corpusChip,
 		EpochScale: 0.05, Warmup: 1, Measure: 1,
 	}
-	ds, err := trainer.GenerateH(sw, mode, h)
+	ens, err := trainer.Model(context.Background(), nil, sw, mode, h, ml.TreeParams{Criterion: ml.Gini, MaxDepth: 6, MinSamplesLeaf: 3})
 	if err != nil {
 		return nil, fmt.Errorf("verify: training corpus model: %w", err)
 	}
-	ens, err := trainer.Train(ds, ml.TreeParams{Criterion: ml.Gini, MaxDepth: 6, MinSamplesLeaf: 3})
-	if err != nil {
-		return nil, err
-	}
-	corpusModels.ens[key] = ens
 	return ens, nil
 }
 
