@@ -298,33 +298,17 @@ func (m *CSR) ToCSC() *CSC {
 	return out
 }
 
-// ToCSR converts CSC to CSR, the mirror of (*CSR).ToCSC.
+// transposed reads the CSC arrays of A as the CSR arrays of Aᵀ, sharing
+// them.
+func (m *CSC) transposed() *CSR {
+	return &CSR{Rows: m.Cols, Cols: m.Rows, RowPtr: m.ColPtr, ColIdx: m.RowIdx, Val: m.Val}
+}
+
+// ToCSR converts CSC to CSR: the CSC of Aᵀ that (*CSR).ToCSC builds from
+// the CSR arrays of Aᵀ holds the CSR arrays of A.
 func (m *CSC) ToCSR() *CSR {
-	out := &CSR{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		RowPtr: make([]int, m.Rows+1),
-		ColIdx: make([]int, m.NNZ()),
-		Val:    make([]float64, m.NNZ()),
-	}
-	for _, r := range m.RowIdx {
-		out.RowPtr[r+1]++
-	}
-	for r := 0; r < m.Rows; r++ {
-		out.RowPtr[r+1] += out.RowPtr[r]
-	}
-	next := make([]int, m.Rows)
-	copy(next, out.RowPtr[:m.Rows])
-	for c := 0; c < m.Cols; c++ {
-		rows, vals := m.Col(c)
-		for i, r := range rows {
-			k := next[r]
-			next[r]++
-			out.ColIdx[k] = c
-			out.Val[k] = vals[i]
-		}
-	}
-	return out
+	t := m.transposed().ToCSC()
+	return &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: t.ColPtr, ColIdx: t.RowIdx, Val: t.Val}
 }
 
 // Validate checks the CSR invariants: pointer array monotone from 0 to NNZ
@@ -334,37 +318,7 @@ func (m *CSR) Validate() error {
 	if m.Rows < 0 || m.Cols < 0 {
 		return fmt.Errorf("matrix: CSR negative shape %dx%d", m.Rows, m.Cols)
 	}
-	if len(m.RowPtr) != m.Rows+1 {
-		return fmt.Errorf("matrix: CSR RowPtr length %d, want %d", len(m.RowPtr), m.Rows+1)
-	}
-	if len(m.ColIdx) != len(m.Val) {
-		return errors.New("matrix: CSR index/value lengths disagree")
-	}
-	if m.RowPtr[0] != 0 || m.RowPtr[m.Rows] != len(m.Val) {
-		return fmt.Errorf("matrix: CSR RowPtr endpoints %d..%d, want 0..%d",
-			m.RowPtr[0], m.RowPtr[m.Rows], len(m.Val))
-	}
-	// Vet the whole pointer array before dereferencing ColIdx: a decreasing
-	// or out-of-range interior pointer would otherwise index past the
-	// arrays below (pairwise checks alone reach the bad row too late).
-	for r := 0; r < m.Rows; r++ {
-		if m.RowPtr[r] > m.RowPtr[r+1] {
-			return fmt.Errorf("matrix: CSR RowPtr decreases at row %d", r)
-		}
-	}
-	for r := 0; r < m.Rows; r++ {
-		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-		for i := lo; i < hi; i++ {
-			c := m.ColIdx[i]
-			if c < 0 || c >= m.Cols {
-				return fmt.Errorf("matrix: CSR column %d out of bounds in row %d", c, r)
-			}
-			if i > lo && c <= m.ColIdx[i-1] {
-				return fmt.Errorf("matrix: CSR row %d columns not strictly increasing", r)
-			}
-		}
-	}
-	return nil
+	return checkCompressed("CSR", "RowPtr", "row", "column", m.Rows, m.Cols, m.RowPtr, m.ColIdx, len(m.Val))
 }
 
 // Validate checks the CSC invariants, the mirror of (*CSR).Validate.
@@ -372,30 +326,40 @@ func (m *CSC) Validate() error {
 	if m.Rows < 0 || m.Cols < 0 {
 		return fmt.Errorf("matrix: CSC negative shape %dx%d", m.Rows, m.Cols)
 	}
-	if len(m.ColPtr) != m.Cols+1 {
-		return fmt.Errorf("matrix: CSC ColPtr length %d, want %d", len(m.ColPtr), m.Cols+1)
+	return checkCompressed("CSC", "ColPtr", "column", "row", m.Cols, m.Rows, m.ColPtr, m.RowIdx, len(m.Val))
+}
+
+// checkCompressed checks one compressed layout, the pointer array ptr over
+// majors lines and the minor indices idx of nval values: ptr of length
+// majors+1, monotone from 0 to nval, and indices below minors and
+// strictly increasing within each line. The names fill in the error texts.
+func checkCompressed(f, ptrName, major, minor string, majors, minors int, ptr, idx []int, nval int) error {
+	if len(ptr) != majors+1 {
+		return fmt.Errorf("matrix: %s %s length %d, want %d", f, ptrName, len(ptr), majors+1)
 	}
-	if len(m.RowIdx) != len(m.Val) {
-		return errors.New("matrix: CSC index/value lengths disagree")
+	if len(idx) != nval {
+		return fmt.Errorf("matrix: %s index/value lengths disagree", f)
 	}
-	if m.ColPtr[0] != 0 || m.ColPtr[m.Cols] != len(m.Val) {
-		return fmt.Errorf("matrix: CSC ColPtr endpoints %d..%d, want 0..%d",
-			m.ColPtr[0], m.ColPtr[m.Cols], len(m.Val))
+	if ptr[0] != 0 || ptr[majors] != nval {
+		return fmt.Errorf("matrix: %s %s endpoints %d..%d, want 0..%d", f, ptrName, ptr[0], ptr[majors], nval)
 	}
-	for c := 0; c < m.Cols; c++ {
-		if m.ColPtr[c] > m.ColPtr[c+1] {
-			return fmt.Errorf("matrix: CSC ColPtr decreases at column %d", c)
+	// Vet the whole pointer array before dereferencing idx: a decreasing
+	// or out-of-range interior pointer would otherwise index past the
+	// arrays below (pairwise checks alone reach the bad line too late).
+	for i := 0; i < majors; i++ {
+		if ptr[i] > ptr[i+1] {
+			return fmt.Errorf("matrix: %s %s decreases at %s %d", f, ptrName, major, i)
 		}
 	}
-	for c := 0; c < m.Cols; c++ {
-		lo, hi := m.ColPtr[c], m.ColPtr[c+1]
-		for i := lo; i < hi; i++ {
-			r := m.RowIdx[i]
-			if r < 0 || r >= m.Rows {
-				return fmt.Errorf("matrix: CSC row %d out of bounds in column %d", r, c)
+	for i := 0; i < majors; i++ {
+		lo, hi := ptr[i], ptr[i+1]
+		for k := lo; k < hi; k++ {
+			j := idx[k]
+			if j < 0 || j >= minors {
+				return fmt.Errorf("matrix: %s %s %d out of bounds in %s %d", f, minor, j, major, i)
 			}
-			if i > lo && r <= m.RowIdx[i-1] {
-				return fmt.Errorf("matrix: CSC column %d rows not strictly increasing", c)
+			if k > lo && j <= idx[k-1] {
+				return fmt.Errorf("matrix: %s %s %d %ss not strictly increasing", f, major, i, minor)
 			}
 		}
 	}
@@ -403,28 +367,15 @@ func (m *CSC) Validate() error {
 }
 
 // Transpose returns the transpose of the matrix in CSR form. Since the CSC
-// representation of Aᵀ has the same layout as the CSR representation of A,
-// this is a relabelling plus a format flip.
+// representation of A has the same layout as the CSR representation of Aᵀ,
+// this is a format flip plus a relabelling.
 func (m *CSR) Transpose() *CSR {
-	return (&CSC{
-		Rows:   m.Cols,
-		Cols:   m.Rows,
-		ColPtr: m.RowPtr,
-		RowIdx: m.ColIdx,
-		Val:    m.Val,
-	}).ToCSR()
+	t := m.ToCSC()
+	return &CSR{Rows: m.Cols, Cols: m.Rows, RowPtr: t.ColPtr, ColIdx: t.RowIdx, Val: t.Val}
 }
 
 // Transpose returns the transpose in CSC form.
-func (m *CSC) Transpose() *CSC {
-	return (&CSR{
-		Rows:   m.Cols,
-		Cols:   m.Rows,
-		RowPtr: m.ColPtr,
-		ColIdx: m.RowIdx,
-		Val:    m.Val,
-	}).ToCSC()
-}
+func (m *CSC) Transpose() *CSC { return m.transposed().ToCSC() }
 
 // Dense expands the matrix to a dense row-major [][]float64. Only intended
 // for test verification on small matrices.
