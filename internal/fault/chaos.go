@@ -2,10 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -65,70 +61,23 @@ func chaosFields(s *ChaosSpec) map[string]*float64 {
 	}
 }
 
+// chaosSyntax is how ParseChaosSpec reads its clauses.
+var chaosSyntax = syntax{clause: "chaos clause", seed: "chaos seed", class: "chaos class", unbounded: [2]string{"slow-ms", "fail-first"}}
+
 // ParseChaosSpec parses the CLI chaos spec: comma-separated key=value
 // pairs, e.g. "exec-panic=0.2,journal-err=0.05,poison=0.1,seed=7".
 func ParseChaosSpec(text string) (ChaosSpec, error) {
 	var s ChaosSpec
-	text = strings.TrimSpace(text)
-	if text == "" {
-		return s, nil
-	}
-	fields := chaosFields(&s)
-	for _, part := range strings.Split(text, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 || kv[0] == "" {
-			return ChaosSpec{}, fmt.Errorf("fault: bad chaos clause %q (want key=value)", part)
-		}
-		key := strings.TrimSpace(kv[0])
-		if key == "seed" {
-			seed, err := strconv.ParseInt(strings.TrimSpace(kv[1]), 10, 64)
-			if err != nil {
-				return ChaosSpec{}, fmt.Errorf("fault: bad chaos seed %q: %v", kv[1], err)
-			}
-			s.Seed = seed
-			continue
-		}
-		dst, ok := fields[key]
-		if !ok {
-			return ChaosSpec{}, fmt.Errorf("fault: unknown chaos class %q", key)
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
-		if err != nil {
-			return ChaosSpec{}, fmt.Errorf("fault: bad value for %s: %v", key, err)
-		}
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return ChaosSpec{}, fmt.Errorf("fault: %s=%v out of range", key, v)
-		}
-		if key != "slow-ms" && key != "fail-first" && v > 1 {
-			return ChaosSpec{}, fmt.Errorf("fault: probability %s=%v exceeds 1", key, v)
-		}
-		*dst = v
+	if err := chaosSyntax.parse(text, chaosFields(&s), &s.Seed); err != nil {
+		return ChaosSpec{}, err
 	}
 	return s, nil
 }
 
-// String renders the spec in ParseChaosSpec syntax (round-trippable).
-func (s ChaosSpec) String() string {
-	fields := chaosFields(&s)
-	keys := make([]string, 0, len(fields))
-	for k := range fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var parts []string
-	for _, k := range keys {
-		if v := *fields[k]; v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%g", k, v))
-		}
-	}
-	if s.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", s.Seed))
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
+// String renders the spec in ParseChaosSpec syntax. A spec ParseChaosSpec
+// accepted re-parses from its String to an equal spec, except the zero
+// spec, which renders as "none" and which ParseChaosSpec does not accept.
+func (s ChaosSpec) String() string { return render(chaosFields(&s), s.Seed) }
 
 // Chaos hash channels, disjoint from the Injector's epoch channels.
 const (

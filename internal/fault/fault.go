@@ -71,52 +71,75 @@ func specFields(s *Spec) map[string]*float64 {
 	}
 }
 
+// specSyntax is how ParseSpec reads its clauses.
+var specSyntax = syntax{clause: "spec clause", seed: "seed", class: "fault class", unbounded: [2]string{"mult", "noise"}}
+
 // ParseSpec parses the CLI fault spec: comma-separated key=value pairs,
 // e.g. "nan=0.1,stuck=0.05,rc-drop=0.3,mult=8,seed=7". Unknown keys and
 // out-of-range probabilities are errors.
 func ParseSpec(text string) (Spec, error) {
 	var s Spec
-	text = strings.TrimSpace(text)
-	if text == "" {
-		return s, nil
-	}
-	fields := specFields(&s)
-	for _, part := range strings.Split(text, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 || kv[0] == "" {
-			return Spec{}, fmt.Errorf("fault: bad spec clause %q (want key=value)", part)
-		}
-		key := strings.TrimSpace(kv[0])
-		if key == "seed" {
-			seed, err := strconv.ParseInt(strings.TrimSpace(kv[1]), 10, 64)
-			if err != nil {
-				return Spec{}, fmt.Errorf("fault: bad seed %q: %v", kv[1], err)
-			}
-			s.Seed = seed
-			continue
-		}
-		dst, ok := fields[key]
-		if !ok {
-			return Spec{}, fmt.Errorf("fault: unknown fault class %q", key)
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("fault: bad value for %s: %v", key, err)
-		}
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return Spec{}, fmt.Errorf("fault: %s=%v out of range", key, v)
-		}
-		if key != "mult" && key != "noise" && v > 1 {
-			return Spec{}, fmt.Errorf("fault: probability %s=%v exceeds 1", key, v)
-		}
-		*dst = v
+	if err := specSyntax.parse(text, specFields(&s), &s.Seed); err != nil {
+		return Spec{}, err
 	}
 	return s, nil
 }
 
-// String renders the spec in ParseSpec syntax (round-trippable).
-func (s Spec) String() string {
-	fields := specFields(&s)
+// String renders the spec in ParseSpec syntax. A spec ParseSpec accepted
+// re-parses from its String to an equal spec, except the zero spec, which
+// renders as "none" and which ParseSpec does not accept.
+func (s Spec) String() string { return render(specFields(&s), s.Seed) }
+
+// syntax is one spec's key=value clause grammar: a seed key, float keys
+// in [0, 1] but for the unbounded ones, and the nouns its errors use.
+type syntax struct {
+	clause, seed, class string
+	unbounded           [2]string
+}
+
+// parse reads text's comma-separated key=value clauses into fields and
+// seed. Blank text sets nothing.
+func (y syntax) parse(text string, fields map[string]*float64, seed *int64) error {
+	text = strings.TrimSpace(text)
+	if text == "" {
+		return nil
+	}
+	for _, part := range strings.Split(text, ",") {
+		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
+		if len(kv) != 2 || kv[0] == "" {
+			return fmt.Errorf("fault: bad %s %q (want key=value)", y.clause, part)
+		}
+		key := strings.TrimSpace(kv[0])
+		if key == "seed" {
+			v, err := strconv.ParseInt(strings.TrimSpace(kv[1]), 10, 64)
+			if err != nil {
+				return fmt.Errorf("fault: bad %s %q: %v", y.seed, kv[1], err)
+			}
+			*seed = v
+			continue
+		}
+		dst, ok := fields[key]
+		if !ok {
+			return fmt.Errorf("fault: unknown %s %q", y.class, key)
+		}
+		v, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
+		if err != nil {
+			return fmt.Errorf("fault: bad value for %s: %v", key, err)
+		}
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("fault: %s=%v out of range", key, v)
+		}
+		if key != y.unbounded[0] && key != y.unbounded[1] && v > 1 {
+			return fmt.Errorf("fault: probability %s=%v exceeds 1", key, v)
+		}
+		*dst = v
+	}
+	return nil
+}
+
+// render writes the nonzero fields in key order, then a nonzero seed, in
+// parse's syntax; it writes "none" when there is nothing to write.
+func render(fields map[string]*float64, seed int64) string {
 	keys := make([]string, 0, len(fields))
 	for k := range fields {
 		keys = append(keys, k)
@@ -128,8 +151,8 @@ func (s Spec) String() string {
 			parts = append(parts, fmt.Sprintf("%s=%g", k, v))
 		}
 	}
-	if s.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", s.Seed))
+	if seed != 0 {
+		parts = append(parts, fmt.Sprintf("seed=%d", seed))
 	}
 	if len(parts) == 0 {
 		return "none"
