@@ -218,8 +218,6 @@ func (r *Recording) IdealStatic(mode power.Mode) (config.Config, power.Metrics) 
 // and total metrics including transition penalties.
 func (r *Recording) IdealGreedy(mode power.Mode) ([]int, power.Metrics) {
 	seq := make([]int, len(r.Epochs))
-	var tot power.Metrics
-	prev := -1
 	for e := range r.Epochs {
 		best, bestScore := 0, math.Inf(-1)
 		for s := range r.Configs {
@@ -228,13 +226,8 @@ func (r *Recording) IdealGreedy(mode power.Mode) ([]int, power.Metrics) {
 			}
 		}
 		seq[e] = best
-		if prev >= 0 {
-			tot.Add(r.transition(prev, best, e))
-		}
-		tot.Add(r.Grid[best][e].Metrics)
-		prev = best
 	}
-	return seq, tot
+	return seq, r.SequenceMetrics(seq)
 }
 
 // Oracle computes the globally optimal configuration sequence by dynamic
@@ -312,16 +305,7 @@ func (r *Recording) shortestPath(wT, wE float64) ([]int, power.Metrics) {
 	for e := E - 1; e > 0; e-- {
 		seq[e-1] = from[e][seq[e]]
 	}
-	var tot power.Metrics
-	prev := -1
-	for e, s := range seq {
-		if prev >= 0 {
-			tot.Add(r.transition(prev, s, e))
-		}
-		tot.Add(r.Grid[s][e].Metrics)
-		prev = s
-	}
-	return seq, tot
+	return seq, r.SequenceMetrics(seq)
 }
 
 // SequenceMetrics totals an arbitrary configuration-index sequence with
